@@ -4,11 +4,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "exp/experiment.h"
 #include "noise/estimator.h"
 #include "qfb/adder.h"
@@ -204,6 +206,58 @@ std::vector<SimdMode> batched_bench_modes() {
   return modes;
 }
 
+/// One transpiled QFA n=8 diagonal op replayed through apply_batch_walk as
+/// op-span steps over the last `span` lanes. Span 1 (a single-lane walk
+/// slice) and span = lanes (a shared segment) are the two shapes behind
+/// 84% of the diagonal-kernel calls in a Fig. 1 run (59% and 25%). The
+/// walk repeats the step kWalkSteps times, so each tile takes them all
+/// while cache-resident, as in a trajectory walk, and the row measures the
+/// kernel rather than a memory stream. Items are amplitude-lane updates of
+/// the spanned lanes.
+template <typename Real>
+void bm_diag_walk(benchmark::State& state, SimdMode mode,
+                  std::shared_ptr<const FusedPlan> plan, std::size_t op,
+                  int lanes, int span) {
+  set_simd_mode(mode);
+  const int n = plan->circuit().num_qubits();
+  BatchedStateVectorT<Real> bsv(n, lanes);
+  // Uniform superposition: repeated phases keep every amplitude's modulus.
+  bsv.broadcast(StateVector::from_amplitudes(std::vector<cplx>(
+      pow2(n), cplx{1.0 / std::sqrt(static_cast<double>(pow2(n))), 0.0})));
+  constexpr int kWalkSteps = 16;
+  const std::vector<BatchWalkStep> steps(
+      kWalkSteps,
+      BatchWalkStep::op_span_step(plan.get(), op, lanes - span, span));
+  for (auto _ : state) {
+    apply_batch_walk(*plan, bsv, steps.data(), steps.size());
+    benchmark::DoNotOptimize(bsv.re());
+    benchmark::ClobberMemory();
+  }
+  const double updates = static_cast<double>(state.iterations()) *
+                         static_cast<double>(kWalkSteps) *
+                         static_cast<double>(pow2(n)) *
+                         static_cast<double>(span);
+  state.SetItemsProcessed(static_cast<std::int64_t>(updates));
+  std::string label = "qubits";
+  for (int q : plan->ops()[op].qubits) label += " " + std::to_string(q);
+  state.SetLabel(label);
+  set_simd_mode(SimdMode::kAuto);
+}
+
+/// The diagonal op bm_diag_walk replays: the plan's first two-shift-run
+/// phase table keyed down to qubit 0, so every row carries its own phase
+/// (the costliest single-lane shape in the Fig. 1 census).
+std::size_t qfa8_diag_op(const FusedPlan& plan) {
+  for (std::size_t i = 0; i < plan.op_count(); ++i) {
+    const FusedOp& op = plan.ops()[i];
+    if (op.kind == FusedOp::Kind::kDiagonal && op.shifts.size() == 2 &&
+        op.shifts[0].shift == 0)
+      return i;
+  }
+  QFAB_CHECK_MSG(false, "QFA n=8 plan has no two-run diagonal op at qubit 0");
+  return 0;
+}
+
 int register_batched_benches() {
   const int n = 12;
   const int lanes = 8;
@@ -222,6 +276,27 @@ int register_batched_benches() {
                                      unfused));
     plans.emplace_back("aqft_fused", std::make_shared<const FusedPlan>(
                                          transpile_to_basis(make_qft(n))));
+    CircuitSpec qfa8;
+    qfa8.op = Operation::kAdd;
+    qfa8.n = 8;
+    auto walk_plan =
+        std::make_shared<const FusedPlan>(build_transpiled_circuit(qfa8));
+    const std::size_t diag_op = qfa8_diag_op(*walk_plan);
+    for (int span : {1, lanes}) {
+      const std::string base = "BM_Batched/qfa8_diag_walk/" + level +
+                               "/lanes:" + std::to_string(lanes) +
+                               "/span:" + std::to_string(span);
+      benchmark::RegisterBenchmark(
+          (base + "/f64").c_str(),
+          [mode, walk_plan, diag_op, lanes, span](benchmark::State& s) {
+            bm_diag_walk<double>(s, mode, walk_plan, diag_op, lanes, span);
+          });
+      benchmark::RegisterBenchmark(
+          (base + "/f32").c_str(),
+          [mode, walk_plan, diag_op, lanes, span](benchmark::State& s) {
+            bm_diag_walk<float>(s, mode, walk_plan, diag_op, lanes, span);
+          });
+    }
     for (const auto& [kernel, plan] : plans) {
       const std::string base =
           "BM_Batched/" + kernel + "/" + level + "/lanes:" +

@@ -2,9 +2,11 @@
 # Full CI pass: tier-1 tests + differential verification smoke, first in a
 # plain release build, then under the two sanitizer presets
 # (QFAB_SANITIZE=address -> ASan+UBSan, QFAB_SANITIZE=thread -> TSan).
-# Sanitizer presets pin QFAB_SIMD=scalar: the portable kernel table is what
-# the instrumented build can actually check, and results must not depend on
-# the host's vector units.
+# Sanitizer presets set QFAB_SIMD=scalar at run time (the build keeps every
+# kernel table): the figure smokes then run the portable table, while the
+# tests that walk the tiers through set_simd_mode() still check the AVX2 and
+# AVX-512 tables under the instrumented build. The plain preset also checks
+# the figure-panel CSVs of every kernel tier through panelbench.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -139,7 +141,32 @@ print("perf smoke: worst ratio %.2fx at %s" % worst)
 PY
 }
 
+# Figure CSVs across kernel tiers: panelbench's own self-test, then every
+# workload at tiny scale under the portable and AVX2 tables (the default
+# dispatch, AVX-512 where the host has it, runs inside the self-test). The
+# benchmark's correctness gate compares each run's default-seed CSVs byte
+# for byte against panelbench/reference/ (the `portable` family under
+# QFAB_SIMD=scalar, the shared `fma` family otherwise), so a kernel change
+# that moves one CSV byte on any tier fails here.
+panel_tiers_smoke() {
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "== panelbench tier smoke skipped (no python3) =="
+    return
+  fi
+  echo "== panelbench: self-test =="
+  python3 panelbench/run.py --self-test
+  local simd workload
+  for simd in scalar avx2; do
+    for workload in qfa8_fig1 qfm4_fig2 qfa4_fabric; do
+      echo "== panelbench: ${workload} tiny, QFAB_SIMD=${simd} =="
+      QFAB_SIMD="${simd}" python3 panelbench/run.py --workload "${workload}" \
+        --scale tiny --trace 0 --seconds 0 | tail -n 1
+    done
+  done
+}
+
 run_preset plain
+panel_tiers_smoke
 echo "== plain: bench_sweep smoke (bounded) =="
 ./build-ci-plain/bench/bench_sweep --instances 4 --traj 6 --shots 256 \
   --reps 1 --out build-ci-plain/BENCH_sweep_smoke.json

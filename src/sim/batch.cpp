@@ -61,7 +61,8 @@ struct BatchKernelTable {
 #define QFAB_RESTRICT __restrict__
 
 // Portable builds of the kernel bodies: plain C++, autovectorized for the
-// baseline ISA. These are the fallback CI pins with QFAB_SIMD=scalar.
+// baseline ISA. The sanitizer CI presets select them at run time with
+// QFAB_SIMD=scalar.
 namespace ker_scalar_f64 {
 using kreal = double;
 #define QFAB_KERNEL_ATTR

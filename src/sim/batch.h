@@ -33,8 +33,8 @@
 // instantiated for double and float. One table per precision is selected at
 // startup by CPUID (overridable via the QFAB_SIMD environment variable or
 // set_simd_mode(); the QFAB_SIMD CMake option pins the choice at build
-// time). The scalar table is the reference fallback CI runs under
-// sanitizers.
+// time). The scalar table is the portable reference; the sanitizer CI
+// presets select it at run time with QFAB_SIMD=scalar.
 //
 // Lane divergence: shared plan segments execute batched; per-lane Pauli
 // injections (apply_pauli with a lane index) land at their exact gate sites

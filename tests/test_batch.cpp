@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -237,6 +238,152 @@ TEST(BatchedEngine, MatchesScalarWithSmallTiles) {
                                  refs[static_cast<std::size_t>(l)].amplitudes()),
                   kTol)
             << mode << " trial=" << trial << " lane=" << l;
+    }
+  });
+}
+
+/// One fused phase op over `qubits`: a P on every qubit and a CP on every
+/// adjacent pair, so the fuser merges them into a single diagonal table
+/// whose every entry depends on every qubit. A lone qubit compiles to a
+/// lone P gate (the per-gate phase-on-bit kernel), or with `rz` set to an
+/// RZ·P chain that fuses into a one-qubit phase table.
+QuantumCircuit phase_ladder(int n, const std::vector<int>& qubits, bool rz,
+                            Pcg64& rng) {
+  QuantumCircuit qc(n);
+  if (rz) qc.append(make_gate1(GateKind::kRZ, qubits[0], 0.3));
+  for (int q : qubits)
+    qc.append(make_gate1(GateKind::kP, q, (rng.uniform() + 0.1) * 2.0));
+  for (std::size_t k = 1; k < qubits.size(); ++k)
+    qc.append(make_gate2(GateKind::kCP, qubits[k - 1], qubits[k],
+                         (rng.uniform() + 0.1) * 2.0));
+  return qc;
+}
+
+/// Replay op 0 of `plan` as one apply_batch_walk op-span step over lanes
+/// [begin, begin + count) of an L-lane vector and check the three span
+/// contracts: every spanned lane is bitwise the op run on that lane alone
+/// (a 1-lane vector, whose tile height differs), every other lane is
+/// bitwise untouched, and the spanned lanes match the scalar StateVector
+/// to `tol`.
+template <typename Real>
+void check_diag_span(const FusedPlan& plan, int L, int begin, int count,
+                     double tol, Pcg64& rng, const std::string& what) {
+  const int n = plan.circuit().num_qubits();
+  const u64 dim = pow2(n);
+  const u64 ul = static_cast<u64>(L);
+  BatchedStateVectorT<Real> bsv(n, L);
+  std::vector<StateVector> inits;
+  for (int l = 0; l < L; ++l) {
+    inits.push_back(StateVector::from_amplitudes(random_state(n, rng)));
+    bsv.set_lane(l, inits.back());
+  }
+  const std::vector<Real> re0(bsv.re(), bsv.re() + dim * ul);
+  const std::vector<Real> im0(bsv.im(), bsv.im() + dim * ul);
+  const BatchWalkStep step =
+      count == L ? BatchWalkStep::op_step(&plan, 0)
+                 : BatchWalkStep::op_span_step(&plan, 0, begin, count);
+  apply_batch_walk(plan, bsv, &step, 1);
+
+  for (int l = 0; l < L; ++l) {
+    const u64 col = static_cast<u64>(l);
+    const bool spanned = l >= begin && l < begin + count;
+    std::vector<Real> want_re(dim), want_im(dim);
+    if (spanned) {
+      BatchedStateVectorT<Real> solo(n, 1);
+      solo.set_lane(0, inits[static_cast<std::size_t>(l)]);
+      const BatchWalkStep whole = BatchWalkStep::op_step(&plan, 0);
+      apply_batch_walk(plan, solo, &whole, 1);
+      want_re.assign(solo.re(), solo.re() + dim);
+      want_im.assign(solo.im(), solo.im() + dim);
+    } else {
+      for (u64 i = 0; i < dim; ++i) {
+        want_re[i] = re0[i * ul + col];
+        want_im[i] = im0[i * ul + col];
+      }
+    }
+    u64 mismatches = 0;
+    for (u64 i = 0; i < dim; ++i)
+      if (std::memcmp(&bsv.re()[i * ul + col], &want_re[i], sizeof(Real)) ||
+          std::memcmp(&bsv.im()[i * ul + col], &want_im[i], sizeof(Real)))
+        ++mismatches;
+    EXPECT_EQ(mismatches, 0u)
+        << what << " lane=" << l << (spanned ? " (spanned)" : " (outside)");
+    if (!spanned) continue;
+    // Phase ops with qubits leave the pending phase alone, so the raw
+    // planes are the state itself.
+    ASSERT_EQ(bsv.lane_pending_phase(l), 0.0) << what;
+    StateVector ref = inits[static_cast<std::size_t>(l)];
+    plan.apply_range(ref, 0, plan.gate_count());
+    double dev = 0.0;
+    for (u64 i = 0; i < dim; ++i) {
+      const cplx got{static_cast<double>(bsv.re()[i * ul + col]),
+                     static_cast<double>(bsv.im()[i * ul + col])};
+      dev = std::max(dev, std::abs(got - ref.amplitudes()[i]));
+    }
+    EXPECT_LT(dev, tol) << what << " lane=" << l;
+  }
+}
+
+TEST(BatchedWalk, DiagonalRunsAndLaneSpansAcrossTileHeight) {
+  // tile_bits = 2 clamps every (lanes, precision) to 16-row tiles, so on
+  // 10 qubits each phase op's lowest qubit sits below (run < tile), at
+  // (run == tile) or above (one phase per tile) the tile height: for the
+  // phase-on-bit and one-qubit-table kernels, and for b_diag with one, two
+  // and three shift runs. Ops keyed down to qubit 0 take b_diag's
+  // per-row path, once with a lowest run that crosses the tile height
+  // (as QFA's {0..7, 14, 15} crosses the 512-row float tile). Spans cover
+  // the single-lane, partial and full-width shapes the trajectory walk
+  // issues.
+  FusionOptions options;
+  options.tile_bits = 2;
+  const int n = 10;
+  struct Case {
+    std::vector<int> qubits;
+    bool rz;
+    FusedOp::Kind kind;
+    std::size_t shift_runs;
+  };
+  std::vector<Case> cases;
+  for (int q : {2, 4, 7}) {
+    cases.push_back({{q}, false, FusedOp::Kind::kGate, 0});
+    cases.push_back({{q}, true, FusedOp::Kind::kDiagonal, 0});
+  }
+  for (const auto& [qs, runs] : std::vector<std::pair<std::vector<int>, int>>{
+           {{1, 2, 3}, 1}, {{4, 5}, 1}, {{6, 7, 8}, 1},
+           {{0, 1, 5, 6}, 2}, {{0, 1, 2, 3, 4, 5, 7}, 2}, {{4, 6}, 2},
+           {{6, 8, 9}, 2},
+           {{0, 2, 4}, 3}, {{1, 3, 5}, 3}, {{4, 6, 8}, 3}, {{5, 7, 9}, 3}})
+    cases.push_back({qs, false, FusedOp::Kind::kDiagonal,
+                     static_cast<std::size_t>(runs)});
+
+  for_each_simd_mode([&](const char* mode) {
+    Pcg64 rng(20261017, 31);
+    for (const Case& c : cases) {
+      const FusedPlan plan(phase_ladder(n, c.qubits, c.rz, rng), options);
+      ASSERT_EQ(plan.op_count(), 1u);
+      const FusedOp& op = plan.ops()[0];
+      ASSERT_EQ(op.kind, c.kind);
+      if (c.kind == FusedOp::Kind::kDiagonal) {
+        ASSERT_EQ(op.qubits, c.qubits);
+        ASSERT_EQ(op.shifts.size(), c.shift_runs);
+      }
+      for (int L : {1, 3, 8}) {
+        // (begin, count): single lanes at both edges, a partial span, all.
+        std::vector<std::pair<int, int>> spans = {{0, 1}, {L - 1, 1}};
+        if (L > 2) spans.push_back({1, L - 2});
+        spans.push_back({0, L});
+        for (const auto& [begin, count] : spans) {
+          std::string what = std::string(mode) + " qubits=";
+          for (int q : c.qubits) what += std::to_string(q) + ",";
+          what += (c.rz ? " rz" : "") + std::string(" L=") +
+                  std::to_string(L) + " span=[" + std::to_string(begin) +
+                  "+" + std::to_string(count) + ")";
+          check_diag_span<double>(plan, L, begin, count, 1e-12, rng,
+                                  what + " double");
+          check_diag_span<float>(plan, L, begin, count, 1e-5, rng,
+                                 what + " float32");
+        }
+      }
     }
   });
 }
