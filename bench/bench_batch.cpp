@@ -4,18 +4,21 @@
 // a stratified noisy evaluation (12 trajectories, 2048 shots) — for the
 // transpiled QFA(n=8, full depth) and QFM(n=4, full depth) circuits, at
 // batch sizes --batches={1,4,8,16} under every distinct kernel table the
-// host supports (forced scalar, avx2, avx512) and both replay precisions.
-// batch=1 is the single-state path the sweeps ran before the batched
-// engine existed; "speedup_vs_single" tracks the end-to-end win per batch
-// size against the batch=1 time of the SAME SIMD level (float32 rows share
-// their level's double baseline — the scalar path has no float tier, so
+// host supports (forced scalar, avx2) and both replay precisions. batch=1
+// is the single-state scalar reference engine (InstanceContext), the path
+// the sweeps ran before the batched engine existed; larger batches run the
+// sweep's production engine (InstanceBatch::evaluate_all_rates on one
+// rate). "speedup_vs_single" tracks the end-to-end win per batch size
+// against the batch=1 time of the SAME SIMD level (float32 rows share
+// their level's double baseline — the scalar engine has no float tier, so
 // that is the honest end-to-end comparison). "<case>_replay" rows time
 // JUST the pooled group-estimator replay over a pre-built batched clean
 // run at batch 4 and 16 (ms_per_lane / inst_per_sec are the lane-scaling
 // guard: the fused tile walk keeps batch=16 at or above batch=4). Writes
 // machine-readable BENCH_batch.json with a "host" metadata block. Each
-// case also cross-checks the batched channel estimate against the scalar
-// estimator (<= 1e-9 in double; float32 at the replay drift tolerance).
+// case also cross-checks the batched channel estimate (one lane of a
+// BatchedCleanRun) against the scalar estimator (<= 1e-9 in double;
+// float32 at the replay drift tolerance).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -92,11 +95,11 @@ void run_point(const Case& c, const QuantumCircuit& qc,
     const std::vector<ArithInstance> group(instances.begin() + i0,
                                            instances.begin() + i1);
     const InstanceBatch batch(qc, c.spec, group, run, plan);
-    std::vector<Pcg64> rngs;
-    rngs.reserve(group.size());
+    std::vector<std::vector<Pcg64>> rngs(1);
+    rngs[0].reserve(group.size());
     for (std::size_t m = 0; m < group.size(); ++m)
-      rngs.push_back(root.split(i0 + m));
-    (void)batch.evaluate_all(noise, run, rngs);
+      rngs[0].push_back(root.split(i0 + m));
+    (void)batch.evaluate_all_rates({noise}, run, rngs);
   }
 }
 
@@ -137,8 +140,9 @@ void cross_check(const Case& c, const QuantumCircuit& qc,
                  const std::shared_ptr<const FusedPlan>& plan,
                  const ArithInstance& inst, const NoiseModel& noise,
                  const RunOptions& run) {
-  const CleanRun clean(qc, make_initial_state(c.spec, inst),
-                       run.checkpoint_interval, plan);
+  const StateVector initial = make_initial_state(c.spec, inst);
+  const CleanRun clean(qc, initial, run.checkpoint_interval, plan);
+  const BatchedCleanRun bclean(plan, {initial}, run.checkpoint_interval);
   const ErrorLocations errors(qc, noise);
   const std::vector<int> out_q = output_qubits(c.spec);
   EstimatorOptions est;
@@ -146,8 +150,8 @@ void cross_check(const Case& c, const QuantumCircuit& qc,
   Pcg64 rng_a(42, 1), rng_b(42, 1);
   const auto scalar =
       estimate_channel_marginal(clean, errors, out_q, est, rng_a);
-  const auto batched =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_b);
+  const auto batched = estimate_channel_marginal_batched(
+      bclean, 0, errors, out_q, est, 8, rng_b);
   double dev = 0.0;
   for (std::size_t i = 0; i < scalar.size(); ++i)
     dev = std::max(dev, std::abs(scalar[i] - batched[i]));
@@ -155,8 +159,8 @@ void cross_check(const Case& c, const QuantumCircuit& qc,
                  c.name << ": batched estimator deviates " << dev);
   est.precision = Precision::kFloat32;
   Pcg64 rng_f(42, 1);
-  const auto f32 =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_f);
+  const auto f32 = estimate_channel_marginal_batched(bclean, 0, errors, out_q,
+                                                     est, 8, rng_f);
   dev = 0.0;
   for (std::size_t i = 0; i < scalar.size(); ++i)
     dev = std::max(dev, std::abs(scalar[i] - f32[i]));
@@ -235,8 +239,7 @@ int run(int argc, const char* const* argv) {
     // unsupported level degrades to the next one down, so duplicates are
     // skipped by resolved name.
     std::vector<std::string> seen_levels;
-    for (SimdMode mode :
-         {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kAvx512}) {
+    for (SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2}) {
       set_simd_mode(mode);
       const std::string level = simd_mode_name();
       if (std::find(seen_levels.begin(), seen_levels.end(), level) !=
@@ -246,7 +249,7 @@ int run(int argc, const char* const* argv) {
       double single_ms = 0.0;  // batch=1 at THIS SIMD level
       for (Precision precision : {Precision::kDouble, Precision::kFloat32}) {
         for (long batch : batches) {
-          // batch=1 runs the scalar single-state path, which has no float
+          // batch=1 runs the scalar reference engine, which has no float
           // tier — one double row covers it.
           if (precision == Precision::kFloat32 && batch <= 1) continue;
           RunOptions run;

@@ -193,8 +193,7 @@ std::vector<SimdMode> batched_bench_modes() {
   if (std::getenv("QFAB_SIMD") != nullptr) return {SimdMode::kAuto};
   std::vector<SimdMode> modes;
   std::vector<std::string> seen;
-  for (SimdMode m :
-       {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kAvx512}) {
+  for (SimdMode m : {SimdMode::kScalar, SimdMode::kAvx2}) {
     set_simd_mode(m);
     const std::string level = simd_mode_name();
     if (std::find(seen.begin(), seen.end(), level) == seen.end()) {

@@ -4,9 +4,9 @@
 # (QFAB_SANITIZE=address -> ASan+UBSan, QFAB_SANITIZE=thread -> TSan).
 # Sanitizer presets set QFAB_SIMD=scalar at run time (the build keeps every
 # kernel table): the figure smokes then run the portable table, while the
-# tests that walk the tiers through set_simd_mode() still check the AVX2 and
-# AVX-512 tables under the instrumented build. The plain preset also checks
-# the figure-panel CSVs of every kernel tier through panelbench.
+# tests that walk the tiers through set_simd_mode() still check the AVX2
+# tables under the instrumented build. The plain preset also checks the
+# figure-panel CSVs of every kernel tier through panelbench.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -143,7 +143,7 @@ PY
 
 # Figure CSVs across kernel tiers: panelbench's own self-test, then every
 # workload at tiny scale under the portable and AVX2 tables (the default
-# dispatch, AVX-512 where the host has it, runs inside the self-test). The
+# dispatch also runs inside the self-test). The
 # benchmark's correctness gate compares each run's default-seed CSVs byte
 # for byte against panelbench/reference/ (the `portable` family under
 # QFAB_SIMD=scalar, the shared `fma` family otherwise), so a kernel change

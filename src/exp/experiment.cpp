@@ -142,16 +142,9 @@ InstanceOutcome InstanceContext::evaluate(const NoiseModel& noise,
     counts = sample_counts_per_shot(clean_, errors, output_qubits_,
                                     run.shots, rng, run.readout);
   } else {
-    EstimatorOptions est;
-    est.error_trajectories = run.error_trajectories;
-    est.precision = resolve_precision(run, clean_.plan().gate_count());
-    est.float_drift_budget = run.float_drift_budget;
+    const EstimatorOptions est{run.error_trajectories};
     std::vector<double> channel =
-        run.batch_lanes > 1
-            ? estimate_channel_marginal_batched(clean_, errors, output_qubits_,
-                                                est, run.batch_lanes, rng)
-            : estimate_channel_marginal(clean_, errors, output_qubits_, est,
-                                        rng);
+        estimate_channel_marginal(clean_, errors, output_qubits_, est, rng);
     check_channel_health(run, channel, "estimated channel");
     if (run.readout.enabled()) apply_readout_error(channel, run.readout);
     counts = sample_shot_counts(channel, run.shots, rng);
@@ -171,11 +164,8 @@ std::vector<InstanceOutcome> InstanceContext::evaluate_rates(
   SharedEstimatorOptions opt;
   opt.error_trajectories = run.error_trajectories;
   opt.min_ess_fraction = run.shared_min_ess;
-  opt.precision = resolve_precision(run, clean_.plan().gate_count());
-  opt.float_drift_budget = run.float_drift_budget;
   std::vector<std::vector<double>> channels = estimate_channel_marginal_shared(
-      clean_, errors, output_qubits_, opt, std::max(run.batch_lanes, 1), rngs,
-      stats);
+      clean_, errors, output_qubits_, opt, rngs, stats);
   std::vector<InstanceOutcome> outcomes;
   outcomes.reserve(channels.size());
   for (std::size_t r = 0; r < channels.size(); ++r) {
@@ -216,48 +206,6 @@ InstanceBatch::InstanceBatch(const QuantumCircuit& transpiled,
   correct_.reserve(group.size());
   for (const ArithInstance& inst : group)
     correct_.push_back(correct_outputs(spec, inst));
-}
-
-InstanceOutcome InstanceBatch::evaluate(int member, const NoiseModel& noise,
-                                        const RunOptions& run,
-                                        Pcg64& rng) const {
-  QFAB_CHECK(member >= 0 && member < size());
-  const ErrorLocations errors(clean_.circuit(), noise);
-  EstimatorOptions est;
-  est.error_trajectories = run.error_trajectories;
-  est.precision = resolve_precision(run, clean_.plan().gate_count());
-  est.float_drift_budget = run.float_drift_budget;
-  std::vector<double> channel = estimate_channel_marginal_batched(
-      clean_, member, errors, output_qubits_, est, std::max(run.batch_lanes, 1),
-      rng);
-  check_channel_health(run, channel, "estimated channel");
-  if (run.readout.enabled()) apply_readout_error(channel, run.readout);
-  std::vector<std::uint64_t> counts = sample_shot_counts(channel, run.shots, rng);
-  return evaluate_counts(counts, correct_[static_cast<std::size_t>(member)]);
-}
-
-std::vector<InstanceOutcome> InstanceBatch::evaluate_all(
-    const NoiseModel& noise, const RunOptions& run,
-    std::vector<Pcg64>& rngs) const {
-  QFAB_CHECK(rngs.size() == static_cast<std::size_t>(size()));
-  const ErrorLocations errors(clean_.circuit(), noise);
-  EstimatorOptions est;
-  est.error_trajectories = run.error_trajectories;
-  est.precision = resolve_precision(run, clean_.plan().gate_count());
-  est.float_drift_budget = run.float_drift_budget;
-  std::vector<std::vector<double>> channels =
-      estimate_channel_marginals_batched(clean_, errors, output_qubits_, est,
-                                         rngs);
-  std::vector<InstanceOutcome> outcomes;
-  outcomes.reserve(channels.size());
-  for (std::size_t m = 0; m < channels.size(); ++m) {
-    check_channel_health(run, channels[m], "estimated channel");
-    if (run.readout.enabled()) apply_readout_error(channels[m], run.readout);
-    const std::vector<std::uint64_t> counts =
-        sample_shot_counts(channels[m], run.shots, rngs[m]);
-    outcomes.push_back(evaluate_counts(counts, correct_[m]));
-  }
-  return outcomes;
 }
 
 std::vector<std::vector<InstanceOutcome>> InstanceBatch::evaluate_all_rates(

@@ -81,10 +81,12 @@ struct RunOptions {
   std::size_t checkpoint_interval = 64;
   bool noisy_rz = true;
   bool noisy_id = true;
-  /// Lanes for the batched SIMD engine (sim/batch.h): clean runs batch up
-  /// to this many instances per fused-plan pass and trajectories batch up
-  /// to this many per instance. <= 1 selects the single-state scalar path
-  /// (as does per_shot, which is defined shot-sequentially).
+  /// Lanes for the batched SIMD engine (sim/batch.h): a sweep groups up to
+  /// this many instances (clamped to [1, BatchedStateVector::kMaxLanes])
+  /// per work unit, whose clean runs share each fused-plan pass and whose
+  /// trajectories replay together that many lanes wide. Ignored in
+  /// per-shot mode, which is defined shot-sequentially and runs one
+  /// instance per unit on the scalar InstanceContext.
   int batch_lanes = 8;
   /// Estimate a sweep's whole positive-rate cluster from one shared set of
   /// proposal trajectories per (instance, depth), importance-reweighted per
@@ -99,7 +101,8 @@ struct RunOptions {
   /// Amplitude precision of batched trajectory replay (Precision in
   /// sim/batch.h): kDouble is the reference behavior, kFloat32 forces the
   /// narrow tier, kAuto picks per circuit via resolve_precision(). The
-  /// scalar paths (batch_lanes <= 1, per_shot) always replay in double.
+  /// scalar InstanceContext (per-shot mode, health retries) always replays
+  /// in double.
   Precision precision = Precision::kDouble;
   /// Drift budget of the float32 replay sentinel
   /// (EstimatorOptions::float_drift_budget); also the tolerance the kAuto
@@ -127,7 +130,11 @@ Precision resolve_precision(const RunOptions& run, std::size_t gate_count);
 
 /// All noisy-evaluation state shared across error rates for one
 /// (spec, instance) pair: the transpiled circuit's ideal run (with
-/// checkpoints) plus the instance's ground truth.
+/// checkpoints) plus the instance's ground truth. This is the scalar
+/// reference engine: it replays one trajectory at a time, always in double
+/// (run.batch_lanes and run.precision are not consulted). The sweep uses it
+/// for per-shot mode and for health-sentinel retries; tests and the verify
+/// harness compare the batched engine against it.
 class InstanceContext {
  public:
   /// `plan` optionally shares one compiled FusedPlan for `transpiled`
@@ -159,36 +166,23 @@ class InstanceContext {
 /// Batched counterpart of InstanceContext: one group of up to
 /// BatchedStateVector::kMaxLanes operand instances whose ideal runs advance
 /// in lockstep through one shared FusedPlan pass (their circuits are
-/// identical; only the initial states differ). Used by run_sweep on the
-/// stratified-estimator path; per-shot mode stays on InstanceContext.
+/// identical; only the initial states differ). The production engine:
+/// run_sweep evaluates every unit through it except in per-shot mode,
+/// which stays on InstanceContext.
 class InstanceBatch {
  public:
   InstanceBatch(const QuantumCircuit& transpiled, const CircuitSpec& spec,
                 const std::vector<ArithInstance>& group, const RunOptions& run,
                 std::shared_ptr<const FusedPlan> plan = nullptr);
 
-  int size() const { return clean_.lanes(); }
-
-  /// Evaluate group member `member` at one noise point. Identical
-  /// statistics to InstanceContext::evaluate on the stratified path: the
-  /// rng stream per point is the same.
-  InstanceOutcome evaluate(int member, const NoiseModel& noise,
-                           const RunOptions& run, Pcg64& rng) const;
-
-  /// Evaluate every member at one noise point in a single batched pass:
-  /// all members' error trajectories of the same stratum replay together
-  /// (estimate_channel_marginals_batched). rngs[m] is member m's point
-  /// rng; each stream is consumed exactly as evaluate(m, ...) would, so
-  /// results match the per-member paths to replay rounding.
-  std::vector<InstanceOutcome> evaluate_all(const NoiseModel& noise,
-                                            const RunOptions& run,
-                                            std::vector<Pcg64>& rngs) const;
-
   /// Evaluate every member at a whole cluster of noise points from one
   /// shared trajectory set per member
   /// (estimate_channel_marginals_shared). rngs[r][m] is member m's point
-  /// rng at noises[r]. Returns [rate][member] outcomes; a single-point
-  /// cluster matches evaluate_all bit-for-bit.
+  /// rng at noises[r]. Returns [rate][member] outcomes. A single-point
+  /// cluster is the pooled per-rate estimator
+  /// (estimate_channel_marginals_batched) on those streams: that is how
+  /// the sweep evaluates its noise-free column and every column of a
+  /// per-rate (shared_trajectories = false) sweep.
   std::vector<std::vector<InstanceOutcome>> evaluate_all_rates(
       const std::vector<NoiseModel>& noises, const RunOptions& run,
       std::vector<std::vector<Pcg64>>& rngs,

@@ -55,7 +55,6 @@ struct SweepContext {
   std::vector<double> rates;
   std::vector<std::size_t> cluster;  // positive-rate column indices
   bool use_shared = false;
-  std::size_t block = 1;  // instances per work unit
   std::vector<QuantumCircuit> circuits;
   std::vector<std::shared_ptr<const FusedPlan>> plans;
 
@@ -101,14 +100,14 @@ struct SweepContext {
   }
 };
 
-/// Evaluate one instance on the scalar path (InstanceContext): all
-/// non-shared rate columns per-rate, then the shared cluster. Used both as
-/// the primary path when units are single-instance (per-shot mode or
-/// batch_lanes <= 1) and per-member by health-sentinel retries.
+/// Evaluate one instance on the scalar reference engine (InstanceContext):
+/// all non-shared rate columns per-rate, then the shared cluster. Runs the
+/// single-instance units of per-shot mode and, per member, the
+/// health-sentinel retries.
 void evaluate_member_scalar(SweepContext& sc, std::size_t i, std::size_t d,
-                            const RunOptions& run,
                             std::shared_ptr<const FusedPlan> plan,
                             UnitResult& out, std::size_t m) {
+  const RunOptions& run = sc.config.run;
   CircuitSpec spec = sc.config.base;
   spec.depth = sc.config.depths[d];
   // One ideal run (with checkpoints) serves every rate cluster.
@@ -136,45 +135,41 @@ void evaluate_member_scalar(SweepContext& sc, std::size_t i, std::size_t d,
   }
 }
 
-/// Batched path: the whole instance block shares each ideal run (one
-/// fused-plan pass for the group) and each instance's error trajectories
-/// batch again inside evaluate. Every point still draws from
-/// point_rng(seed, i, d, r), so results are independent of grouping and
-/// identical in distribution to the scalar path.
+/// Production path: the whole instance block [i0, i1) shares each ideal
+/// run (one fused-plan pass for the group) and every rate cluster's
+/// trajectories replay pooled across the block. The shared positive-rate
+/// cluster is one call; every other column (the noise-free one, and all
+/// columns of a per-rate sweep) is a single-rate cluster, which the shared
+/// estimator evaluates as the pooled per-rate estimator. Every point draws
+/// from point_rng(seed, i, d, r), so results do not depend on the grouping.
 void run_unit_batched(SweepContext& sc, std::size_t d, std::size_t i0,
-                      std::size_t i1, const RunOptions& run, UnitResult& out) {
+                      std::size_t i1, UnitResult& out) {
+  const RunOptions& run = sc.config.run;
   const std::vector<ArithInstance> group(sc.instances.begin() + i0,
                                          sc.instances.begin() + i1);
   CircuitSpec spec = sc.config.base;
   spec.depth = sc.config.depths[d];
   const InstanceBatch batch(sc.circuits[d], spec, group, run, sc.plans[d]);
-  for (std::size_t r = 0; r < sc.rates.size(); ++r) {
-    if (sc.use_shared && sc.rates[r] > 0.0) continue;
-    std::vector<Pcg64> rngs;
-    rngs.reserve(group.size());
-    for (std::size_t m = 0; m < group.size(); ++m)
-      rngs.push_back(point_rng(sc.config.seed, i0 + m, d, r));
-    const std::vector<InstanceOutcome> results =
-        batch.evaluate_all(noise_at(sc.config, sc.rates[r]), run, rngs);
-    for (std::size_t m = 0; m < group.size(); ++m)
-      out.outcomes[r][m] = results[m];
-  }
-  if (sc.use_shared) {
+  auto evaluate_cluster = [&](const std::vector<std::size_t>& columns,
+                              SharedEstimateStats* stats) {
     std::vector<NoiseModel> noises;
-    std::vector<std::vector<Pcg64>> rngs(sc.cluster.size());
-    noises.reserve(sc.cluster.size());
-    for (std::size_t c = 0; c < sc.cluster.size(); ++c) {
-      noises.push_back(noise_at(sc.config, sc.rates[sc.cluster[c]]));
+    std::vector<std::vector<Pcg64>> rngs(columns.size());
+    noises.reserve(columns.size());
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      noises.push_back(noise_at(sc.config, sc.rates[columns[c]]));
       rngs[c].reserve(group.size());
       for (std::size_t m = 0; m < group.size(); ++m)
-        rngs[c].push_back(point_rng(sc.config.seed, i0 + m, d, sc.cluster[c]));
+        rngs[c].push_back(point_rng(sc.config.seed, i0 + m, d, columns[c]));
     }
     const std::vector<std::vector<InstanceOutcome>> results =
-        batch.evaluate_all_rates(noises, run, rngs, &out.stats);
-    for (std::size_t c = 0; c < sc.cluster.size(); ++c)
+        batch.evaluate_all_rates(noises, run, rngs, stats);
+    for (std::size_t c = 0; c < columns.size(); ++c)
       for (std::size_t m = 0; m < group.size(); ++m)
-        out.outcomes[sc.cluster[c]][m] = results[c][m];
-  }
+        out.outcomes[columns[c]][m] = results[c][m];
+  };
+  for (std::size_t r = 0; r < sc.rates.size(); ++r)
+    if (!(sc.use_shared && sc.rates[r] > 0.0)) evaluate_cluster({r}, nullptr);
+  if (sc.use_shared) evaluate_cluster(sc.cluster, &out.stats);
 }
 
 /// Run one work unit: instance block [i0, i1) at depth index d, all rate
@@ -188,10 +183,10 @@ UnitResult compute_unit(SweepContext& sc, std::size_t d, std::size_t i0,
   UnitResult out;
   out.outcomes.assign(sc.rates.size(), std::vector<InstanceOutcome>(members));
   try {
-    if (sc.block > 1)
-      run_unit_batched(sc, d, i0, i1, sc.config.run, out);
+    if (sc.config.run.per_shot)
+      evaluate_member_scalar(sc, i0, d, sc.plans[d], out, 0);
     else
-      evaluate_member_scalar(sc, i0, d, sc.config.run, sc.plans[d], out, 0);
+      run_unit_batched(sc, d, i0, i1, out);
     return out;
   } catch (const NumericalHealthError& err) {
     std::cerr << "\n[qfab] numerical health sentinel tripped (depth "
@@ -202,15 +197,10 @@ UnitResult compute_unit(SweepContext& sc, std::size_t d, std::size_t i0,
   out = UnitResult{};
   out.outcomes.assign(sc.rates.size(), std::vector<InstanceOutcome>(members));
   out.retried = true;
-  RunOptions retry = sc.config.run;
-  retry.batch_lanes = 1;
-  // The scalar path replays in double regardless, but pin it so a future
-  // scalar float tier cannot silently weaken the conservative retry.
-  retry.precision = Precision::kDouble;
   const std::shared_ptr<const FusedPlan> plan = sc.nonfused_plan(d);
   for (std::size_t m = 0; m < members; ++m) {
     try {
-      evaluate_member_scalar(sc, i0 + m, d, retry, plan, out, m);
+      evaluate_member_scalar(sc, i0 + m, d, plan, out, m);
     } catch (const NumericalHealthError& err) {
       out.poisoned = true;
       std::ostringstream desc;
@@ -382,9 +372,7 @@ SweepGrid::SweepGrid(const SweepConfig& config, std::size_t n_instances_in) {
   n_instances = n_instances_in;
   const int lanes = std::clamp(config.run.batch_lanes, 1,
                                BatchedStateVector::kMaxLanes);
-  block = (lanes > 1 && !config.run.per_shot)
-              ? static_cast<std::size_t>(lanes)
-              : 1;
+  block = config.run.per_shot ? 1 : static_cast<std::size_t>(lanes);
   n_groups = (n_instances + block - 1) / block;
   n_units = n_groups * n_depths;
 }
@@ -417,7 +405,6 @@ struct SweepExecution::Impl {
     QFAB_CHECK(!config.depths.empty());
     QFAB_CHECK(!instances.empty());
     sc.prepare();
-    sc.block = grid.block;
   }
 
   const SweepConfig config;

@@ -83,68 +83,6 @@ void replay_group_marginals(const FusedPlan& plan, std::size_t g0,
   ws.bsv.all_lane_marginal_probabilities(output_qubits, ws.margs, ws.acc);
 }
 
-/// Shared body of the two batched-estimator overloads. `state_at(g)` must
-/// return the ideal state after g gates for the instance being estimated.
-template <typename StateAt>
-std::vector<double> channel_marginal_batched_impl(
-    const FusedPlan& plan, const std::vector<double>& ideal,
-    StateAt&& state_at, const ErrorLocations& errors,
-    const std::vector<int>& output_qubits, const EstimatorOptions& options,
-    int max_lanes, Pcg64& rng) {
-  const double w0 = errors.clean_probability();
-  if (errors.noisy_gate_count() == 0 || w0 >= 1.0) return ideal;
-  QFAB_CHECK(options.error_trajectories >= 1);
-  QFAB_CHECK(max_lanes >= 1 && max_lanes <= BatchedStateVector::kMaxLanes);
-  const int T = options.error_trajectories;
-  ReplayWorkspace& ws = replay_workspace();
-
-  // Pre-sample every trajectory's event list sequentially: the rng stream
-  // is identical to the scalar estimator's and independent of lane packing.
-  std::vector<std::vector<ErrorEvent>> all_events(T);
-  for (int t = 0; t < T; ++t) all_events[t] = errors.sample_at_least_one(rng);
-
-  // Stratify: sort trajectory indices by first-error site so lanes batched
-  // together share (almost) all of their ideal prefix and the broadcast
-  // start state wastes little replay.
-  std::vector<int> order(static_cast<std::size_t>(T));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return all_events[a].front().gate_index < all_events[b].front().gate_index;
-  });
-
-  std::vector<std::vector<double>> margs(static_cast<std::size_t>(T));
-  for (int lo = 0; lo < T; lo += max_lanes) {
-    const int lanes = std::min(max_lanes, T - lo);
-    // Scalar run_trajectory resumes at first_gate_index + 1; the group
-    // resumes at the earliest such site and the later lanes replay the
-    // few extra ideal gates batched.
-    const std::size_t g0 = all_events[order[lo]].front().gate_index + 1;
-    std::vector<std::vector<ErrorEvent>> lane_events(lanes);
-    for (int l = 0; l < lanes; ++l) lane_events[l] = all_events[order[lo + l]];
-    const StateVector start = state_at(g0);  // shared by a double redo
-    replay_group_marginals(plan, g0, lane_events, output_qubits,
-                           options.precision, options.float_drift_budget, ws,
-                           [&](auto& bsv) {
-                             bsv.reset(plan.circuit().num_qubits(), lanes);
-                             bsv.broadcast(start);
-                           });
-    for (int l = 0; l < lanes; ++l)
-      margs[order[lo + l]] = ws.margs[static_cast<std::size_t>(l)];
-  }
-
-  // Accumulate in original sample order, not lane order, so the estimate
-  // does not depend on the stratified packing.
-  std::vector<double> err_mean(ideal.size(), 0.0);
-  for (int t = 0; t < T; ++t)
-    for (std::size_t i = 0; i < err_mean.size(); ++i)
-      err_mean[i] += margs[t][i];
-  const double scale = (1.0 - w0) / static_cast<double>(T);
-  std::vector<double> out(ideal.size());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = w0 * ideal[i] + scale * err_mean[i];
-  return out;
-}
-
 /// T proposal trajectories after dedup: unique (fired set, event list)
 /// pairs with multiplicities. The event list alone is not a sufficient key:
 /// with thermal (kWeighted) locations alongside depolarizing ones, two
@@ -326,23 +264,65 @@ std::vector<double> estimate_channel_marginal(
 }
 
 std::vector<double> estimate_channel_marginal_batched(
-    const CleanRun& clean, const ErrorLocations& errors,
-    const std::vector<int>& output_qubits, const EstimatorOptions& options,
-    int max_lanes, Pcg64& rng) {
-  return channel_marginal_batched_impl(
-      clean.plan(), clean.ideal_marginal(output_qubits),
-      [&clean](std::size_t g) { return clean.state_at(g); }, errors,
-      output_qubits, options, max_lanes, rng);
-}
-
-std::vector<double> estimate_channel_marginal_batched(
     const BatchedCleanRun& clean, int lane, const ErrorLocations& errors,
     const std::vector<int>& output_qubits, const EstimatorOptions& options,
     int max_lanes, Pcg64& rng) {
-  return channel_marginal_batched_impl(
-      clean.plan(), clean.lane_ideal_marginal(lane, output_qubits),
-      [&clean, lane](std::size_t g) { return clean.lane_state_at(lane, g); },
-      errors, output_qubits, options, max_lanes, rng);
+  const std::vector<double> ideal =
+      clean.lane_ideal_marginal(lane, output_qubits);
+  const double w0 = errors.clean_probability();
+  if (errors.noisy_gate_count() == 0 || w0 >= 1.0) return ideal;
+  QFAB_CHECK(options.error_trajectories >= 1);
+  QFAB_CHECK(max_lanes >= 1 && max_lanes <= BatchedStateVector::kMaxLanes);
+  const int T = options.error_trajectories;
+  const FusedPlan& plan = clean.plan();
+  ReplayWorkspace& ws = replay_workspace();
+
+  // Pre-sample every trajectory's event list sequentially: the rng stream
+  // is identical to the scalar estimator's and independent of lane packing.
+  std::vector<std::vector<ErrorEvent>> all_events(T);
+  for (int t = 0; t < T; ++t) all_events[t] = errors.sample_at_least_one(rng);
+
+  // Stratify: sort trajectory indices by first-error site so lanes batched
+  // together share (almost) all of their ideal prefix and the broadcast
+  // start state wastes little replay.
+  std::vector<int> order(static_cast<std::size_t>(T));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return all_events[a].front().gate_index < all_events[b].front().gate_index;
+  });
+
+  std::vector<std::vector<double>> margs(static_cast<std::size_t>(T));
+  for (int lo = 0; lo < T; lo += max_lanes) {
+    const int lanes = std::min(max_lanes, T - lo);
+    // Scalar run_trajectory resumes at first_gate_index + 1; the group
+    // resumes at the earliest such site and the later lanes replay the
+    // few extra ideal gates batched.
+    const std::size_t g0 = all_events[order[lo]].front().gate_index + 1;
+    std::vector<std::vector<ErrorEvent>> lane_events(lanes);
+    for (int l = 0; l < lanes; ++l) lane_events[l] = all_events[order[lo + l]];
+    // One start state, shared by a double redo.
+    const StateVector start = clean.lane_state_at(lane, g0);
+    replay_group_marginals(plan, g0, lane_events, output_qubits,
+                           options.precision, options.float_drift_budget, ws,
+                           [&](auto& bsv) {
+                             bsv.reset(plan.circuit().num_qubits(), lanes);
+                             bsv.broadcast(start);
+                           });
+    for (int l = 0; l < lanes; ++l)
+      margs[order[lo + l]] = ws.margs[static_cast<std::size_t>(l)];
+  }
+
+  // Accumulate in original sample order, not lane order, so the estimate
+  // does not depend on the stratified packing.
+  std::vector<double> err_mean(ideal.size(), 0.0);
+  for (int t = 0; t < T; ++t)
+    for (std::size_t i = 0; i < err_mean.size(); ++i)
+      err_mean[i] += margs[t][i];
+  const double scale = (1.0 - w0) / static_cast<double>(T);
+  std::vector<double> out(ideal.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = w0 * ideal[i] + scale * err_mean[i];
+  return out;
 }
 
 std::vector<std::vector<double>> estimate_channel_marginals_batched(
@@ -434,22 +414,16 @@ std::vector<std::vector<double>> estimate_channel_marginals_batched(
 std::vector<std::vector<double>> estimate_channel_marginal_shared(
     const CleanRun& clean, const std::vector<ErrorLocations>& rate_errors,
     const std::vector<int>& output_qubits,
-    const SharedEstimatorOptions& options, int max_lanes,
-    std::vector<Pcg64>& rngs, SharedEstimateStats* stats) {
+    const SharedEstimatorOptions& options, std::vector<Pcg64>& rngs,
+    SharedEstimateStats* stats) {
   const std::size_t R = rate_errors.size();
   QFAB_CHECK(R >= 1 && rngs.size() == R);
   QFAB_CHECK(options.error_trajectories >= 1);
-  QFAB_CHECK(max_lanes >= 1 && max_lanes <= BatchedStateVector::kMaxLanes);
   const int T = options.error_trajectories;
-  const EstimatorOptions eopt{T, options.precision,
-                              options.float_drift_budget};
+  const EstimatorOptions eopt{T};
   auto per_rate = [&](std::size_t r) {
-    return max_lanes > 1
-               ? estimate_channel_marginal_batched(clean, rate_errors[r],
-                                                   output_qubits, eopt,
-                                                   max_lanes, rngs[r])
-               : estimate_channel_marginal(clean, rate_errors[r],
-                                           output_qubits, eopt, rngs[r]);
+    return estimate_channel_marginal(clean, rate_errors[r], output_qubits,
+                                     eopt, rngs[r]);
   };
   if (stats) stats->rate_columns += static_cast<long>(R);
 
@@ -479,38 +453,12 @@ std::vector<std::vector<double>> estimate_channel_marginal_shared(
     stats->unique_trajectories += static_cast<long>(U);
   }
 
-  // Replay each unique trajectory once, stratified by first-error site.
-  std::vector<std::size_t> order(U);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return uniq.events[a].front().gate_index < uniq.events[b].front().gate_index;
-  });
+  // Replay each unique trajectory once.
   ReplayWorkspace& ws = replay_workspace();
   std::vector<std::vector<double>> umargs(U);
-  if (max_lanes > 1) {
-    for (std::size_t lo = 0; lo < U; lo += static_cast<std::size_t>(max_lanes)) {
-      const int lanes =
-          static_cast<int>(std::min<std::size_t>(max_lanes, U - lo));
-      const std::size_t g0 = uniq.events[order[lo]].front().gate_index + 1;
-      clean.state_at(g0, ws.sv);
-      std::vector<std::vector<ErrorEvent>> lane_events(lanes);
-      for (int l = 0; l < lanes; ++l)
-        lane_events[l] = uniq.events[order[lo + static_cast<std::size_t>(l)]];
-      replay_group_marginals(clean.plan(), g0, lane_events, output_qubits,
-                             options.precision, options.float_drift_budget, ws,
-                             [&](auto& bsv) {
-                               bsv.reset(clean.circuit().num_qubits(), lanes);
-                               bsv.broadcast(ws.sv);
-                             });
-      for (int l = 0; l < lanes; ++l)
-        umargs[order[lo + static_cast<std::size_t>(l)]] =
-            ws.margs[static_cast<std::size_t>(l)];
-    }
-  } else {
-    for (std::size_t u = 0; u < U; ++u) {
-      run_trajectory(clean, uniq.events[u], ws.sv);
-      ws.sv.marginal_probabilities(output_qubits, umargs[u]);
-    }
+  for (std::size_t u = 0; u < U; ++u) {
+    run_trajectory(clean, uniq.events[u], ws.sv);
+    ws.sv.marginal_probabilities(output_qubits, umargs[u]);
   }
 
   const std::vector<std::vector<double>> deltas =

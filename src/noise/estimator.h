@@ -34,7 +34,7 @@ struct EstimatorOptions {
   /// Amplitude precision for batched trajectory replay. Must be resolved
   /// (kDouble or kFloat32) by the time an estimator runs — kAuto is
   /// decided upstream by the precision policy in exp/experiment.h. The
-  /// scalar (non-batched) replay path is always double.
+  /// scalar reference estimators (CleanRun overloads) are always double.
   Precision precision = Precision::kDouble;
   /// Float32 drift sentinel: after a float32 group replay, any lane whose
   /// norm² (the sum of its output marginal) drifts from 1 by more than
@@ -110,16 +110,17 @@ struct SharedEstimateStats {
 /// column is produced by the per-rate estimator from its own stream —
 /// bit-for-bit what the per-rate path computes. A single-rate cluster
 /// delegates to the per-rate estimator outright (exact stream-for-stream
-/// match). Replay is batched up to `max_lanes` trajectories per plan pass
-/// (max_lanes == 1 replays scalar; fallback columns then also use the
-/// scalar per-rate estimator).
+/// match).
 ///
+/// This CleanRun form is the scalar reference: each unique trajectory is
+/// replayed alone, in double, and fallback columns use
+/// estimate_channel_marginal (options.precision is not consulted).
 /// Returns one output-marginal estimate per rate, aligned with rate_errors.
 std::vector<std::vector<double>> estimate_channel_marginal_shared(
     const CleanRun& clean, const std::vector<ErrorLocations>& rate_errors,
     const std::vector<int>& output_qubits,
-    const SharedEstimatorOptions& options, int max_lanes,
-    std::vector<Pcg64>& rngs, SharedEstimateStats* stats = nullptr);
+    const SharedEstimatorOptions& options, std::vector<Pcg64>& rngs,
+    SharedEstimateStats* stats = nullptr);
 
 /// All-members form of estimate_channel_marginal_shared for a batched group
 /// of clean runs: per member, T proposal trajectories are sampled
@@ -136,26 +137,23 @@ std::vector<std::vector<std::vector<double>>> estimate_channel_marginals_shared(
     std::vector<std::vector<Pcg64>>& rngs,
     SharedEstimateStats* stats = nullptr);
 
-/// Channel-averaged distribution of `output_qubits`.
+/// Channel-averaged distribution of `output_qubits`: the scalar reference
+/// estimator (one trajectory at a time, always double).
 std::vector<double> estimate_channel_marginal(const CleanRun& clean,
                                               const ErrorLocations& errors,
                                               const std::vector<int>& output_qubits,
                                               const EstimatorOptions& options,
                                               Pcg64& rng);
 
-/// Batched-engine variant of estimate_channel_marginal: the T trajectories
-/// are stratified by first-error site and run up to `max_lanes` at a time
+/// Batched-engine variant of estimate_channel_marginal for one lane
+/// (instance) of a batched group of clean runs: the T trajectories are
+/// stratified by first-error site and run up to `max_lanes` at a time
 /// through one shared plan pass (sim/batch.h). Statistically identical to
 /// the scalar estimator — event lists are pre-sampled sequentially so the
 /// rng stream matches exactly, and trajectory marginals are accumulated in
 /// their original sample order, so the result is independent of how
-/// trajectories were packed into lanes.
-std::vector<double> estimate_channel_marginal_batched(
-    const CleanRun& clean, const ErrorLocations& errors,
-    const std::vector<int>& output_qubits, const EstimatorOptions& options,
-    int max_lanes, Pcg64& rng);
-
-/// Same, for one lane (instance) of a batched group of clean runs.
+/// trajectories were packed into lanes. The shared estimator's ESS
+/// fallback columns run through this.
 std::vector<double> estimate_channel_marginal_batched(
     const BatchedCleanRun& clean, int lane, const ErrorLocations& errors,
     const std::vector<int>& output_qubits, const EstimatorOptions& options,

@@ -292,14 +292,6 @@ StateVector BatchedCleanRun::lane_state_at(int lane,
   return sv;
 }
 
-BatchedStateVector BatchedCleanRun::states_at(std::size_t gate_count) const {
-  QFAB_CHECK(gate_count <= plan_->gate_count());
-  const std::size_t k = checkpoint_before(gate_count);
-  BatchedStateVector bsv = checkpoints_[k];
-  apply_plan_range(*plan_, bsv, boundaries_[k], gate_count);
-  return bsv;
-}
-
 template <typename Real>
 void BatchedCleanRun::load_states_at(std::size_t gate_count,
                                      const std::vector<int>& lane_map,

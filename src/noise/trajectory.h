@@ -176,14 +176,10 @@ class BatchedCleanRun {
   /// Lane's state after the first `gate_count` gates (nearest batched
   /// checkpoint, lane extracted, remainder replayed scalar).
   StateVector lane_state_at(int lane, std::size_t gate_count) const;
-  /// Every lane's state after the first `gate_count` gates, as one batched
-  /// vector: nearest checkpoint copied, remainder replayed batched (fused
-  /// via subrange plans). Feeds group trajectory replays directly.
-  BatchedStateVector states_at(std::size_t gate_count) const;
-  /// Allocation-free, lane-permuted form of states_at: `out` lane j
-  /// becomes member lane_map[j]'s state after `gate_count` gates (members
-  /// may repeat, so one group can carry several trajectories of the same
-  /// member). Reuses `out`'s storage across calls. The float32 replay tier
+  /// Group replay start states: `out` lane j becomes member lane_map[j]'s
+  /// state after `gate_count` gates — nearest checkpoint copied, remainder
+  /// replayed batched (fused via subrange plans). Members may repeat, so
+  /// one group can carry several trajectories of the same member. Reuses `out`'s storage across calls. The float32 replay tier
   /// passes a BatchedStateVectorF: checkpoints stay double (the ideal run
   /// is always reference precision) and amplitudes are rounded once here,
   /// then the checkpoint-to-site replay runs at the narrow precision.

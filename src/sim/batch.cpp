@@ -96,26 +96,6 @@ using kreal = float;
 #include "sim/batch_kernels.inc"
 #undef QFAB_KERNEL_ATTR
 }  // namespace ker_avx2_f32
-
-// AVX-512 builds: 512-bit vectors, 8 doubles / 16 floats per register.
-// prefer-vector-width=512 overrides the 256-bit tuning default so the
-// autovectorizer actually uses zmm for these unit-stride lane loops.
-#define QFAB_AVX512_TARGET                                      \
-  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl," \
-                        "prefer-vector-width=512")))
-namespace ker_avx512_f64 {
-using kreal = double;
-#define QFAB_KERNEL_ATTR QFAB_AVX512_TARGET
-#include "sim/batch_kernels.inc"
-#undef QFAB_KERNEL_ATTR
-}  // namespace ker_avx512_f64
-
-namespace ker_avx512_f32 {
-using kreal = float;
-#define QFAB_KERNEL_ATTR QFAB_AVX512_TARGET
-#include "sim/batch_kernels.inc"
-#undef QFAB_KERNEL_ATTR
-}  // namespace ker_avx512_f32
 #else
 #define QFAB_HAVE_X86_TABLES 0
 #endif
@@ -125,8 +105,6 @@ const BatchKernelTable<float> kScalarF32 = ker_scalar_f32::kernel_table();
 #if QFAB_HAVE_X86_TABLES
 const BatchKernelTable<double> kAvx2F64 = ker_avx2_f64::kernel_table();
 const BatchKernelTable<float> kAvx2F32 = ker_avx2_f32::kernel_table();
-const BatchKernelTable<double> kAvx512F64 = ker_avx512_f64::kernel_table();
-const BatchKernelTable<float> kAvx512F32 = ker_avx512_f32::kernel_table();
 #endif
 
 bool cpu_has_avx2() {
@@ -137,23 +115,10 @@ bool cpu_has_avx2() {
 #endif
 }
 
-bool cpu_has_avx512() {
-#if QFAB_HAVE_X86_TABLES
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq") &&
-         __builtin_cpu_supports("avx512bw") &&
-         __builtin_cpu_supports("avx512vl");
-#else
-  return false;
-#endif
-}
-
 /// The requested mode before resolution: build default, then environment.
 SimdMode requested_mode() {
 #if defined(QFAB_SIMD_SCALAR_ONLY)
   SimdMode mode = SimdMode::kScalar;
-#elif defined(QFAB_SIMD_FORCE_AVX512)
-  SimdMode mode = SimdMode::kAvx512;
 #elif defined(QFAB_SIMD_FORCE_AVX2)
   SimdMode mode = SimdMode::kAvx2;
 #else
@@ -162,7 +127,6 @@ SimdMode requested_mode() {
   if (const char* env = std::getenv("QFAB_SIMD")) {
     if (std::strcmp(env, "scalar") == 0) mode = SimdMode::kScalar;
     else if (std::strcmp(env, "avx2") == 0) mode = SimdMode::kAvx2;
-    else if (std::strcmp(env, "avx512") == 0) mode = SimdMode::kAvx512;
     else if (std::strcmp(env, "auto") == 0) mode = SimdMode::kAuto;
   }
   return mode;
@@ -170,14 +134,8 @@ SimdMode requested_mode() {
 
 /// Resolve kAuto by CPUID and degrade forced modes the CPU lacks.
 SimdMode resolve_mode(SimdMode mode) {
-  const bool a2 = cpu_has_avx2();
-  const bool a5 = cpu_has_avx512();
-  if (mode == SimdMode::kAuto)
-    return a5 ? SimdMode::kAvx512 : a2 ? SimdMode::kAvx2 : SimdMode::kScalar;
-  if (mode == SimdMode::kAvx512 && !a5)
-    return a2 ? SimdMode::kAvx2 : SimdMode::kScalar;
-  if (mode == SimdMode::kAvx2 && !a2) return SimdMode::kScalar;
-  return mode;
+  if (mode == SimdMode::kScalar || !cpu_has_avx2()) return SimdMode::kScalar;
+  return SimdMode::kAvx2;
 }
 
 std::atomic<SimdMode>& mode_slot() {
@@ -189,14 +147,12 @@ template <typename Real>
 const BatchKernelTable<Real>& table_for(SimdMode resolved) {
   if constexpr (std::is_same_v<Real, double>) {
 #if QFAB_HAVE_X86_TABLES
-    if (resolved == SimdMode::kAvx512) return kAvx512F64;
     if (resolved == SimdMode::kAvx2) return kAvx2F64;
 #endif
     (void)resolved;
     return kScalarF64;
   } else {
 #if QFAB_HAVE_X86_TABLES
-    if (resolved == SimdMode::kAvx512) return kAvx512F32;
     if (resolved == SimdMode::kAvx2) return kAvx2F32;
 #endif
     (void)resolved;
@@ -219,7 +175,6 @@ void set_simd_mode(SimdMode mode) {
 
 const char* simd_mode_name() {
   switch (simd_mode()) {
-    case SimdMode::kAvx512: return "avx512";
     case SimdMode::kAvx2: return "avx2";
     default: return "scalar";
   }

@@ -28,9 +28,9 @@
 //                                   accumulators stay double; only the
 //                                   amplitude planes are narrowed.
 //
-// Kernels are compiled per (ISA, precision): a portable scalar build, an
-// AVX2+FMA build, and an AVX-512 build ("target" function attributes), each
-// instantiated for double and float. One table per precision is selected at
+// Kernels are compiled per (ISA, precision): a portable scalar build and an
+// AVX2+FMA build (a "target" function attribute), each instantiated for
+// double and float. One table per precision is selected at
 // startup by CPUID (overridable via the QFAB_SIMD environment variable or
 // set_simd_mode(); the QFAB_SIMD CMake option pins the choice at build
 // time). The scalar table is the portable reference; the sanitizer CI
@@ -62,15 +62,14 @@ namespace qfab {
 
 /// Which kernel table executes batched ops.
 enum class SimdMode {
-  kAuto,    // detect at startup: widest tier the CPU supports
-  kAvx512,  // force the AVX-512 table (falls back if unavailable)
+  kAuto,    // detect at startup: AVX2 when the CPU has it
   kAvx2,    // force the AVX2+FMA table (falls back if unavailable)
   kScalar,  // force the portable table
 };
 
 /// The resolved mode (never kAuto): what batched kernels actually run.
 /// Resolution order: set_simd_mode() override, else the QFAB_SIMD
-/// environment variable ("auto" | "avx512" | "avx2" | "scalar"), else the
+/// environment variable ("auto" | "avx2" | "scalar"), else the
 /// build's QFAB_SIMD CMake default, else CPUID.
 SimdMode simd_mode();
 
@@ -78,7 +77,7 @@ SimdMode simd_mode();
 /// Affects every precision's table.
 void set_simd_mode(SimdMode mode);
 
-/// "avx512", "avx2" or "scalar" for the resolved mode.
+/// "avx2" or "scalar" for the resolved mode.
 const char* simd_mode_name();
 
 /// Amplitude precision for batched trajectory replay (see the precision

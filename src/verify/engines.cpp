@@ -234,50 +234,71 @@ std::string check_noisy_channel(const VerifyCase& c,
   std::string violation = check_probability_simplex(exact, opt.tol);
   if (!violation.empty()) return "noisy density: " + violation;
 
-  // Scalar vs batched stratified estimators: identical rng streams, so
-  // they must agree to replay rounding — a far tighter differential than
-  // either is to the exact channel.
+  // Scalar reference vs the production batched estimators: a
+  // BatchedCleanRun of max(2, lanes) members, all in the case's initial
+  // state and all drawing the scalar estimator's stream. Identical rng
+  // streams, so every member must agree with the scalar estimate to replay
+  // rounding — a far tighter differential than either is to the exact
+  // channel.
   const auto plan = std::make_shared<const FusedPlan>(tqc);
   const CleanRun clean(tqc, StateVector(n), 64, plan);
+  const std::size_t members = static_cast<std::size_t>(std::max(2, c.lanes));
+  const BatchedCleanRun bclean(
+      plan, std::vector<StateVector>(members, StateVector(n)), 64);
   const ErrorLocations errors(tqc, noise);
   const std::vector<int> outputs = all_qubits(n);
   EstimatorOptions eopt;
   eopt.error_trajectories = opt.error_trajectories;
   const std::uint64_t stream = 0xd1ffe7e47ULL ^ c.root_seed;
+  const std::vector<Pcg64> member_rngs(members, Pcg64(stream, c.index));
 
   Pcg64 rng_scalar(stream, c.index);
   const std::vector<double> est_scalar =
       estimate_channel_marginal(clean, errors, outputs, eopt, rng_scalar);
-  Pcg64 rng_batched(stream, c.index);
-  const std::vector<double> est_batched = estimate_channel_marginal_batched(
-      clean, errors, outputs, eopt, std::max(2, c.lanes), rng_batched);
-
   violation = check_probability_simplex(est_scalar, opt.tol);
   if (!violation.empty()) return "estimator(scalar): " + violation;
-  const double d_est = max_abs_diff(est_scalar, est_batched);
-  if (d_est > opt.tol) {
-    std::ostringstream os;
-    os << "estimator scalar vs batched: max |dp| = " << d_est << " (tol "
-       << opt.tol << ")";
-    return os.str();
-  }
-  // Float32 replay leg: identical rng stream (events are pre-sampled, so
-  // the narrow tier consumes it exactly like the double tier), compared to
-  // the scalar double estimate at the float32 drift tolerance.
+
+  // "" when every estimate in `est` is a distribution within `tol` of the
+  // scalar estimate, else the first one that is not, described.
+  auto stray = [&](const std::vector<std::vector<double>>& est, double tol,
+                   const std::string& what) -> std::string {
+    for (std::size_t m = 0; m < est.size(); ++m) {
+      const std::string bad = check_probability_simplex(est[m], opt.tol);
+      if (!bad.empty()) return "estimator(" + what + "): " + bad;
+      const double d = max_abs_diff(est_scalar, est[m]);
+      if (d > tol) {
+        std::ostringstream os;
+        os << "estimator scalar vs " << what << " member " << m
+           << ": max |dp| = " << d << " (tol " << tol << ")";
+        return os.str();
+      }
+    }
+    return {};
+  };
+
+  // Every member through the pooled estimator, and one member through the
+  // single-lane estimator the shared estimator's ESS fallback uses.
+  std::vector<Pcg64> rngs = member_rngs;
+  violation = stray(
+      estimate_channel_marginals_batched(bclean, errors, outputs, eopt, rngs),
+      opt.tol, "batched");
+  if (!violation.empty()) return violation;
+  Pcg64 rng_lane(stream, c.index);
+  violation = stray({estimate_channel_marginal_batched(
+                        bclean, static_cast<int>(members) - 1, errors, outputs,
+                        eopt, static_cast<int>(members), rng_lane)},
+                    opt.tol, "batched lane");
+  if (!violation.empty()) return violation;
+  // Float32 replay leg: identical rng streams (events are pre-sampled, so
+  // the narrow tier consumes them exactly like the double tier), compared
+  // to the scalar double estimate at the float32 drift tolerance.
   EstimatorOptions fopt = eopt;
   fopt.precision = Precision::kFloat32;
-  Pcg64 rng_f32(stream, c.index);
-  const std::vector<double> est_f32 = estimate_channel_marginal_batched(
-      clean, errors, outputs, fopt, std::max(2, c.lanes), rng_f32);
-  violation = check_probability_simplex(est_f32, opt.tol);
-  if (!violation.empty()) return "estimator(float32): " + violation;
-  const double d_f32 = max_abs_diff(est_scalar, est_f32);
-  if (d_f32 > opt.f32_tol) {
-    std::ostringstream os;
-    os << "estimator double vs float32 replay: max |dp| = " << d_f32
-       << " (f32 tol " << opt.f32_tol << ")";
-    return os.str();
-  }
+  rngs = member_rngs;
+  violation = stray(
+      estimate_channel_marginals_batched(bclean, errors, outputs, fopt, rngs),
+      opt.f32_tol, "float32");
+  if (!violation.empty()) return violation;
 
   const double tv = total_variation(est_scalar, exact);
   if (tv > opt.channel_tol) {
@@ -302,31 +323,30 @@ std::string check_noisy_channel(const VerifyCase& c,
   cluster.emplace_back(tqc, noise);  // proposal (largest expected events)
   SharedEstimatorOptions sopt;
   sopt.error_trajectories = opt.error_trajectories;
-  std::vector<Pcg64> rngs;
-  rngs.emplace_back(stream ^ 0x51a7edULL, c.index);
-  rngs.emplace_back(stream, c.index);  // the stratified estimators' stream
-  const std::vector<std::vector<double>> shared =
-      estimate_channel_marginal_shared(clean, cluster, outputs, sopt,
-                                       std::max(2, c.lanes), rngs);
-  const double d_shared = max_abs_diff(shared[1], est_scalar);
-  if (d_shared > opt.tol) {
-    std::ostringstream os;
-    os << "shared-trajectory proposal column vs stratified: max |dp| = "
-       << d_shared << " (tol " << opt.tol << ")";
-    return os.str();
-  }
-  violation = check_probability_simplex(shared[0], opt.tol);
-  if (!violation.empty()) return "estimator(shared half-rate): " + violation;
+  std::vector<std::vector<Pcg64>> cluster_rngs{
+      std::vector<Pcg64>(members, Pcg64(stream ^ 0x51a7edULL, c.index)),
+      member_rngs};  // the proposal draws the stratified estimators' stream
+  const std::vector<std::vector<std::vector<double>>> shared =
+      estimate_channel_marginals_shared(bclean, cluster, outputs, sopt,
+                                        cluster_rngs);
+  violation = stray(shared[1], opt.tol, "shared-trajectory proposal column");
+  if (!violation.empty()) return violation;
   DensityMatrix dm_half(n);
   dm_half.apply_noisy_circuit(tqc, half);
-  const double tv_half = total_variation(shared[0], dm_half.probabilities());
-  if (tv_half > 1.5 * opt.channel_tol) {
-    std::ostringstream os;
-    os << "shared-trajectory half-rate column vs exact channel: total "
-          "variation "
-       << tv_half << " (tol " << 1.5 * opt.channel_tol << ", "
-       << sopt.error_trajectories << " trajectories)";
-    return os.str();
+  const std::vector<double> exact_half = dm_half.probabilities();
+  for (const std::vector<double>& column : shared[0]) {
+    violation = check_probability_simplex(column, opt.tol);
+    if (!violation.empty())
+      return "estimator(shared half-rate): " + violation;
+    const double tv_half = total_variation(column, exact_half);
+    if (tv_half > 1.5 * opt.channel_tol) {
+      std::ostringstream os;
+      os << "shared-trajectory half-rate column vs exact channel: total "
+            "variation "
+         << tv_half << " (tol " << 1.5 * opt.channel_tol << ", "
+         << sopt.error_trajectories << " trajectories)";
+      return os.str();
+    }
   }
   return {};
 }

@@ -17,9 +17,11 @@
 //   density        exact DensityMatrix evolution (trace and purity checked)
 //
 // plus a noisy leg: the depolarizing channel applied exactly by the
-// density matrix versus the scalar and batched stratified trajectory
-// estimators (scalar vs batched compared at replay-rounding tolerance,
-// either vs exact at a statistical tolerance).
+// density matrix versus the scalar reference estimator (CleanRun) and the
+// production estimators on a BatchedCleanRun — pooled, single-lane,
+// float32 and shared-trajectory — compared to the scalar estimate at
+// replay-rounding tolerance, the scalar estimate and the reweighted
+// shared column vs exact at a statistical tolerance.
 //
 // All pure engines must agree pairwise on the full distribution and on a
 // qubit-subset marginal to `tol`; every engine's invariants (norm per

@@ -84,8 +84,7 @@ QuantumCircuit random_circuit(int n, int gates, Pcg64& rng) {
 template <typename Body>
 void for_each_simd_mode(const Body& body) {
   std::vector<std::string> seen;
-  for (SimdMode mode :
-       {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kAvx512}) {
+  for (SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2}) {
     set_simd_mode(mode);
     const std::string level = simd_mode_name();
     if (std::find(seen.begin(), seen.end(), level) != seen.end()) continue;
@@ -539,20 +538,12 @@ TEST(BatchedCleanRunTest, LaneQueriesMatchScalarCleanRuns) {
           << "lane " << l << " g " << g;
   }
 
-  // states_at / load_states_at: batched resume states match the scalar
-  // replays lane-for-lane, including permuted-with-repeats lane maps
-  // loaded into reused storage.
+  // load_states_at: batched resume states match the scalar replays
+  // lane-for-lane, including permuted-with-repeats lane maps loaded into
+  // reused storage.
   BatchedStateVector reuse(n, 1);
   const std::vector<int> map = {2, 0, 0, 1};
   for (std::size_t g = 0; g <= qc.gates().size(); g += 11) {
-    const BatchedStateVector at = batched.states_at(g);
-    for (int l = 0; l < lanes; ++l)
-      EXPECT_LT(state_distance(
-                    at.lane_state(l).amplitudes(),
-                    scalar_runs[static_cast<std::size_t>(l)].state_at(g)
-                        .amplitudes()),
-                kTol)
-          << "states_at lane " << l << " g " << g;
     batched.load_states_at(g, map, reuse);
     ASSERT_EQ(reuse.lanes(), static_cast<int>(map.size()));
     for (std::size_t j = 0; j < map.size(); ++j)
@@ -567,14 +558,20 @@ TEST(BatchedCleanRunTest, LaneQueriesMatchScalarCleanRuns) {
 }
 
 TEST(BatchedEstimator, MatchesScalarEstimatorAndIsPackingIndependent) {
+  // The single-lane batched estimator on the second member of a
+  // BatchedCleanRun group vs the scalar reference on its own CleanRun.
   CircuitSpec spec;
   spec.op = Operation::kAdd;
   spec.n = 3;
   const QuantumCircuit qc = build_transpiled_circuit(spec);
   Pcg64 inst_rng(5, 1);
-  const ArithInstance inst =
-      generate_instances(1, 3, 3, OperandOrders{}, inst_rng)[0];
-  const CleanRun clean(qc, make_initial_state(spec, inst), 32);
+  std::vector<StateVector> initials;
+  for (const ArithInstance& inst :
+       generate_instances(2, 3, 3, OperandOrders{}, inst_rng))
+    initials.push_back(make_initial_state(spec, inst));
+  const BatchedCleanRun group(std::make_shared<const FusedPlan>(qc), initials,
+                              32);
+  const CleanRun clean(qc, initials[1], 32);
   const ErrorLocations errors(qc, NoiseModel{.p1q = 0.002, .p2q = 0.004});
   const std::vector<int> out_q = output_qubits(spec);
   EstimatorOptions est;
@@ -586,7 +583,7 @@ TEST(BatchedEstimator, MatchesScalarEstimatorAndIsPackingIndependent) {
   for (int max_lanes : {1, 4, 8}) {
     Pcg64 rng_batched(77, 3);
     const auto batched = estimate_channel_marginal_batched(
-        clean, errors, out_q, est, max_lanes, rng_batched);
+        group, 1, errors, out_q, est, max_lanes, rng_batched);
     ASSERT_EQ(batched.size(), scalar.size());
     // Same pre-sampled trajectories, same accumulation order: agreement to
     // simulation rounding regardless of how lanes were packed.
@@ -637,11 +634,23 @@ TEST(BatchedEstimator, MultiMemberMatchesPerMemberEstimates) {
   }
 }
 
+/// The sweep's per-(instance, depth, rate) stream (exp/sweep.cpp
+/// point_rng), so a reference evaluation draws exactly what the sweep drew.
+Pcg64 sweep_point_rng(std::uint64_t seed, std::size_t instance,
+                      std::size_t depth_i, std::size_t rate_i) {
+  const std::uint64_t salt = (static_cast<std::uint64_t>(instance) << 32) ^
+                             (static_cast<std::uint64_t>(depth_i) << 16) ^
+                             static_cast<std::uint64_t>(rate_i);
+  Pcg64 root(seed, 0x5eedULL);
+  return root.split(salt);
+}
+
 TEST(BatchedSweep, RaggedGroupsMatchScalarSweep) {
-  // run_sweep's batched path packs instances into lane groups; the ragged
-  // cases — n_inst % lanes != 0 (5 % 2, 5 % 3) and lanes > n_inst (8 > 5)
-  // — must reproduce the scalar (batch_lanes = 1) sweep point for point,
-  // including the noise-free cluster.
+  // run_sweep packs instances into lane groups; every packing — one lane,
+  // n_inst % lanes != 0 (5 % 2, 5 % 3) and lanes > n_inst (8 > 5) — must
+  // reproduce, point for point and including the noise-free column, the
+  // scalar reference engine (InstanceContext) run per instance on the same
+  // per-point streams.
   SweepConfig cfg;
   cfg.base.op = Operation::kAdd;
   cfg.base.n = 3;
@@ -658,21 +667,41 @@ TEST(BatchedSweep, RaggedGroupsMatchScalarSweep) {
   Pcg64 gen(cfg.seed);
   const auto insts = generate_instances(cfg.instances, 3, 3, cfg.orders, gen);
 
-  SweepConfig scalar_cfg = cfg;
-  scalar_cfg.run.batch_lanes = 1;
-  const SweepResult ref = run_sweep(scalar_cfg, insts);
-  ASSERT_EQ(ref.points.size(), 4u);  // 2 depths x (noise-free + 1 rate)
+  // Reference: every column as a one-point cluster on InstanceContext.
+  const std::vector<double> rates = cfg.expanded_rates();
+  std::vector<SweepPoint> ref_points;
+  for (std::size_t d = 0; d < cfg.depths.size(); ++d) {
+    CircuitSpec spec = cfg.base;
+    spec.depth = cfg.depths[d];
+    const QuantumCircuit qc = build_transpiled_circuit(spec);
+    for (std::size_t r = 0; r < rates.size(); ++r) {
+      NoiseModel noise;  // exp/sweep.cpp noise_at
+      noise.p2q = rates[r] / 100.0;
+      noise.noisy_rz = cfg.run.noisy_rz;
+      noise.noisy_id = cfg.run.noisy_id;
+      std::vector<InstanceOutcome> outcomes;
+      for (std::size_t i = 0; i < insts.size(); ++i) {
+        const InstanceContext context(qc, spec, insts[i], cfg.run);
+        std::vector<Pcg64> rngs{sweep_point_rng(cfg.seed, i, d, r)};
+        outcomes.push_back(
+            context.evaluate_rates({noise}, cfg.run, rngs).front());
+      }
+      ref_points.push_back(
+          SweepPoint{cfg.depths[d], rates[r], aggregate_outcomes(outcomes)});
+    }
+  }
+  ASSERT_EQ(ref_points.size(), 4u);  // 2 depths x (noise-free + 1 rate)
 
-  for (int lanes : {2, 3, 8}) {
+  for (int lanes : {1, 2, 3, 8}) {
     SweepConfig batched_cfg = cfg;
     batched_cfg.run.batch_lanes = lanes;
     const SweepResult got = run_sweep(batched_cfg, insts);
-    ASSERT_EQ(got.points.size(), ref.points.size()) << "lanes=" << lanes;
-    for (std::size_t i = 0; i < ref.points.size(); ++i) {
-      const PointStats& a = ref.points[i].stats;
+    ASSERT_EQ(got.points.size(), ref_points.size()) << "lanes=" << lanes;
+    for (std::size_t i = 0; i < ref_points.size(); ++i) {
+      const PointStats& a = ref_points[i].stats;
       const PointStats& b = got.points[i].stats;
-      EXPECT_EQ(got.points[i].depth, ref.points[i].depth);
-      EXPECT_EQ(got.points[i].rate_percent, ref.points[i].rate_percent);
+      EXPECT_EQ(got.points[i].depth, ref_points[i].depth);
+      EXPECT_EQ(got.points[i].rate_percent, ref_points[i].rate_percent);
       EXPECT_EQ(b.instances, a.instances) << "lanes=" << lanes << " pt " << i;
       EXPECT_EQ(b.successes, a.successes) << "lanes=" << lanes << " pt " << i;
       EXPECT_EQ(b.lower_flips, a.lower_flips)
@@ -684,6 +713,29 @@ TEST(BatchedSweep, RaggedGroupsMatchScalarSweep) {
       EXPECT_NEAR(b.sigma, a.sigma, 1e-9) << "lanes=" << lanes << " pt " << i;
     }
   }
+}
+
+TEST(BatchedSweep, SingleLaneSweepHonorsPrecision) {
+  // batch_lanes = 1 runs the batched engine one lane wide, so a float32
+  // request with a zero drift budget must trip the replay sentinel.
+  SweepConfig cfg;
+  cfg.base.op = Operation::kAdd;
+  cfg.base.n = 3;
+  cfg.depths = {kFullDepth};
+  cfg.rates_percent = {4.0};
+  cfg.vary_2q = true;
+  cfg.instances = 2;
+  cfg.run.shots = 64;
+  cfg.run.error_trajectories = 4;
+  cfg.run.batch_lanes = 1;
+  cfg.run.precision = Precision::kFloat32;
+  cfg.run.float_drift_budget = 0.0;
+  cfg.seed = 78;
+  Pcg64 gen(cfg.seed);
+  const auto insts = generate_instances(cfg.instances, 3, 3, cfg.orders, gen);
+  reset_precision_fallback_count();
+  (void)run_sweep(cfg, insts);
+  EXPECT_GT(precision_fallback_count(), 0);
 }
 
 /// Euclidean distance between one lane of each engine, straight off the
@@ -761,7 +813,8 @@ TEST(PrecisionPolicy, Float32EstimatorTracksDoubleWithoutFallback) {
   Pcg64 inst_rng(9, 1);
   const ArithInstance inst =
       generate_instances(1, 3, 3, OperandOrders{}, inst_rng)[0];
-  const CleanRun clean(qc, make_initial_state(spec, inst), 32);
+  const BatchedCleanRun clean(std::make_shared<const FusedPlan>(qc),
+                              {make_initial_state(spec, inst)}, 32);
   const ErrorLocations errors(qc, NoiseModel{.p1q = 0.002, .p2q = 0.004});
   const std::vector<int> out_q = output_qubits(spec);
   EstimatorOptions est;
@@ -769,13 +822,13 @@ TEST(PrecisionPolicy, Float32EstimatorTracksDoubleWithoutFallback) {
 
   Pcg64 rng_d(91, 3);
   const auto dbl =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_d);
+      estimate_channel_marginal_batched(clean, 0, errors, out_q, est, 8, rng_d);
 
   est.precision = Precision::kFloat32;  // default 1e-3 budget: no trips
   reset_precision_fallback_count();
   Pcg64 rng_f(91, 3);
   const auto f32 =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_f);
+      estimate_channel_marginal_batched(clean, 0, errors, out_q, est, 8, rng_f);
   EXPECT_EQ(precision_fallback_count(), 0);
   ASSERT_EQ(f32.size(), dbl.size());
   double dev = 0.0;
@@ -801,7 +854,8 @@ TEST(PrecisionPolicy, TrippedBudgetFallsBackToDoubleBitForBit) {
   Pcg64 inst_rng(9, 2);
   const ArithInstance inst =
       generate_instances(1, 3, 3, OperandOrders{}, inst_rng)[0];
-  const CleanRun clean(qc, make_initial_state(spec, inst), 32);
+  const BatchedCleanRun clean(std::make_shared<const FusedPlan>(qc),
+                              {make_initial_state(spec, inst)}, 32);
   const ErrorLocations errors(qc, NoiseModel{.p1q = 0.002, .p2q = 0.004});
   const std::vector<int> out_q = output_qubits(spec);
   EstimatorOptions est;
@@ -809,14 +863,14 @@ TEST(PrecisionPolicy, TrippedBudgetFallsBackToDoubleBitForBit) {
 
   Pcg64 rng_d(92, 3);
   const auto dbl =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_d);
+      estimate_channel_marginal_batched(clean, 0, errors, out_q, est, 8, rng_d);
 
   est.precision = Precision::kFloat32;
   est.float_drift_budget = 0.0;
   reset_precision_fallback_count();
   Pcg64 rng_f(92, 3);
   const auto fell =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_f);
+      estimate_channel_marginal_batched(clean, 0, errors, out_q, est, 8, rng_f);
   EXPECT_GT(precision_fallback_count(), 0);
   ASSERT_EQ(fell.size(), dbl.size());
   for (std::size_t i = 0; i < dbl.size(); ++i)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "exp/sweep.h"
@@ -50,35 +51,62 @@ double total_variation(const std::vector<double>& a,
   return 0.5 * tv;
 }
 
+/// A batched group of `lanes` members that all start in |0...0>.
+BatchedCleanRun replicated_clean_run(const QuantumCircuit& qc, int lanes,
+                                     std::size_t interval) {
+  return BatchedCleanRun(
+      std::make_shared<const FusedPlan>(qc),
+      std::vector<StateVector>(static_cast<std::size_t>(lanes),
+                               StateVector(qc.num_qubits())),
+      interval);
+}
+
 TEST(SharedEstimator, SingleRateClusterDelegatesBitForBit) {
   const QuantumCircuit qc = qfa_circuit(3);
-  const CleanRun clean(qc, StateVector(qc.num_qubits()), 16);
   const std::vector<int> outputs = result_qubits(3);
   const std::vector<ErrorLocations> cluster{ErrorLocations(qc, depol(0.01))};
   SharedEstimatorOptions opt;
   opt.error_trajectories = 10;
+  const EstimatorOptions eopt{opt.error_trajectories};
 
-  for (int max_lanes : {1, 4}) {
+  // Scalar reference engine.
+  {
+    const CleanRun clean(qc, StateVector(qc.num_qubits()), 16);
     std::vector<Pcg64> rngs;
     rngs.emplace_back(7, 9);
     SharedEstimateStats stats;
-    const auto shared = estimate_channel_marginal_shared(
-        clean, cluster, outputs, opt, max_lanes, rngs, &stats);
+    const auto shared =
+        estimate_channel_marginal_shared(clean, cluster, outputs, opt, rngs,
+                                         &stats);
     ASSERT_EQ(shared.size(), 1u);
-
     Pcg64 ref_rng(7, 9);
-    const EstimatorOptions eopt{opt.error_trajectories};
     const std::vector<double> ref =
-        max_lanes > 1
-            ? estimate_channel_marginal_batched(clean, cluster[0], outputs,
-                                                eopt, max_lanes, ref_rng)
-            : estimate_channel_marginal(clean, cluster[0], outputs, eopt,
-                                        ref_rng);
+        estimate_channel_marginal(clean, cluster[0], outputs, eopt, ref_rng);
     EXPECT_EQ(shared[0], ref);  // bitwise: same code path, same stream
     // The delegated stream advanced exactly as the per-rate estimator's.
     EXPECT_EQ(rngs[0](), ref_rng());
     EXPECT_EQ(stats.fallback_columns, 0);
     EXPECT_EQ(stats.rate_columns, 1);
+  }
+
+  // Production engine, one and four lanes wide.
+  for (int lanes : {1, 4}) {
+    const BatchedCleanRun clean = replicated_clean_run(qc, lanes, 16);
+    std::vector<std::vector<Pcg64>> rngs(
+        1, std::vector<Pcg64>(lanes, Pcg64(7, 9)));
+    SharedEstimateStats stats;
+    const auto shared = estimate_channel_marginals_shared(
+        clean, cluster, outputs, opt, rngs, &stats);
+    ASSERT_EQ(shared.size(), 1u);
+    std::vector<Pcg64> ref_rngs(lanes, Pcg64(7, 9));
+    const auto ref = estimate_channel_marginals_batched(clean, cluster[0],
+                                                        outputs, eopt,
+                                                        ref_rngs);
+    EXPECT_EQ(shared[0], ref) << "lanes=" << lanes;  // bitwise
+    for (int m = 0; m < lanes; ++m)
+      EXPECT_EQ(rngs[0][m](), ref_rngs[m]()) << "lanes=" << lanes;
+    EXPECT_EQ(stats.fallback_columns, 0);
+    EXPECT_EQ(stats.rate_columns, lanes);
   }
 }
 
@@ -96,15 +124,15 @@ TEST(SharedEstimator, ProposalColumnMatchesStratifiedStream) {
   for (std::uint64_t r = 0; r < cluster.size(); ++r) rngs.emplace_back(11, r);
   SharedEstimateStats stats;
   const auto shared = estimate_channel_marginal_shared(clean, cluster, outputs,
-                                                       opt, 8, rngs, &stats);
+                                                       opt, rngs, &stats);
   ASSERT_EQ(shared.size(), 3u);
 
   // The proposal (largest rate, index 2) consumed its stream exactly as the
   // stratified estimator would; dedup only regroups the average, so the
   // estimates agree to summation rounding.
   Pcg64 ref_rng(11, 2);
-  const std::vector<double> ref = estimate_channel_marginal_batched(
-      clean, cluster[2], outputs, EstimatorOptions{opt.error_trajectories}, 8,
+  const std::vector<double> ref = estimate_channel_marginal(
+      clean, cluster[2], outputs, EstimatorOptions{opt.error_trajectories},
       ref_rng);
   ASSERT_EQ(shared[2].size(), ref.size());
   for (std::size_t b = 0; b < ref.size(); ++b)
@@ -137,7 +165,7 @@ TEST(SharedEstimator, ReweightedColumnsTrackExactChannel) {
   for (std::uint64_t r = 0; r < cluster.size(); ++r) rngs.emplace_back(13, r);
   SharedEstimateStats stats;
   const auto shared = estimate_channel_marginal_shared(clean, cluster, outputs,
-                                                       opt, 16, rngs, &stats);
+                                                       opt, rngs, &stats);
 
   for (std::size_t r = 0; r < cluster.size(); ++r) {
     DensityMatrix dm(qc.num_qubits());
@@ -147,9 +175,9 @@ TEST(SharedEstimator, ReweightedColumnsTrackExactChannel) {
         << "rate fraction " << fractions[r];
     // And within statistical agreement of a fresh stratified estimate.
     Pcg64 strat_rng(99, r);
-    const std::vector<double> strat = estimate_channel_marginal_batched(
+    const std::vector<double> strat = estimate_channel_marginal(
         clean, cluster[r], outputs, EstimatorOptions{opt.error_trajectories},
-        16, strat_rng);
+        strat_rng);
     EXPECT_LT(total_variation(shared[r], strat), 0.08);
   }
   // Mild rate ratios at this lambda keep every column above the guard.
@@ -159,7 +187,6 @@ TEST(SharedEstimator, ReweightedColumnsTrackExactChannel) {
 
 TEST(SharedEstimator, ForcedEssFallbackReproducesStratifiedBitForBit) {
   const QuantumCircuit qc = qfa_circuit(3);
-  const CleanRun clean(qc, StateVector(qc.num_qubits()), 16);
   const std::vector<int> outputs = result_qubits(3);
   const double p = rate_for_lambda(qc, 2.0);
   std::vector<ErrorLocations> cluster;
@@ -170,14 +197,17 @@ TEST(SharedEstimator, ForcedEssFallbackReproducesStratifiedBitForBit) {
   // threshold of exactly T forces every non-proposal column to fall back
   // (the proposal's ESS is exactly T and never falls back).
   opt.min_ess_fraction = 1.0;
+  const EstimatorOptions eopt{opt.error_trajectories};
 
-  for (int max_lanes : {1, 8}) {
+  // Scalar reference engine.
+  {
+    const CleanRun clean(qc, StateVector(qc.num_qubits()), 16);
     std::vector<Pcg64> rngs;
     rngs.emplace_back(17, 0);
     rngs.emplace_back(17, 1);
     SharedEstimateStats stats;
     const auto shared = estimate_channel_marginal_shared(
-        clean, cluster, outputs, opt, max_lanes, rngs, &stats);
+        clean, cluster, outputs, opt, rngs, &stats);
 
     EXPECT_EQ(stats.fallback_columns, 1);
     EXPECT_EQ(stats.fallback_trajectories, opt.error_trajectories);
@@ -186,15 +216,34 @@ TEST(SharedEstimator, ForcedEssFallbackReproducesStratifiedBitForBit) {
     // The fallback column is exactly the per-rate call from its own
     // (previously untouched) stream.
     Pcg64 ref_rng(17, 0);
-    const EstimatorOptions eopt{opt.error_trajectories};
     const std::vector<double> ref =
-        max_lanes > 1
-            ? estimate_channel_marginal_batched(clean, cluster[0], outputs,
-                                                eopt, max_lanes, ref_rng)
-            : estimate_channel_marginal(clean, cluster[0], outputs, eopt,
-                                        ref_rng);
+        estimate_channel_marginal(clean, cluster[0], outputs, eopt, ref_rng);
     EXPECT_EQ(shared[0], ref);
     EXPECT_EQ(rngs[0](), ref_rng());
+  }
+
+  // Production engine: each member's fallback column is exactly the
+  // single-lane batched per-rate call, packed as wide as the group.
+  for (int lanes : {1, 8}) {
+    const BatchedCleanRun clean = replicated_clean_run(qc, lanes, 16);
+    std::vector<std::vector<Pcg64>> rngs{
+        std::vector<Pcg64>(lanes, Pcg64(17, 0)),
+        std::vector<Pcg64>(lanes, Pcg64(17, 1))};
+    SharedEstimateStats stats;
+    const auto shared = estimate_channel_marginals_shared(
+        clean, cluster, outputs, opt, rngs, &stats);
+
+    EXPECT_EQ(stats.fallback_columns, lanes);
+    EXPECT_EQ(stats.fallback_trajectories, lanes * opt.error_trajectories);
+    EXPECT_LT(stats.ess_fraction_min, 1.0);
+
+    for (int m = 0; m < lanes; ++m) {
+      Pcg64 ref_rng(17, 0);
+      const std::vector<double> ref = estimate_channel_marginal_batched(
+          clean, m, cluster[0], outputs, eopt, lanes, ref_rng);
+      EXPECT_EQ(shared[0][m], ref) << "lanes=" << lanes << " member " << m;
+      EXPECT_EQ(rngs[0][m](), ref_rng());
+    }
   }
 }
 
@@ -217,7 +266,7 @@ TEST(SharedEstimator, DefaultEssGuardTripsOnExtremeRateRatio) {
   rngs.emplace_back(23, 1);
   SharedEstimateStats stats;
   const auto shared = estimate_channel_marginal_shared(clean, cluster, outputs,
-                                                       opt, 8, rngs, &stats);
+                                                       opt, rngs, &stats);
   ASSERT_EQ(shared.size(), 2u);
   EXPECT_EQ(stats.fallback_columns, 1);
   EXPECT_LT(stats.ess_fraction_min, 0.25);

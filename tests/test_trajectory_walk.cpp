@@ -90,8 +90,7 @@ QuantumCircuit random_circuit(int n, int gates, Pcg64& rng) {
 template <typename Body>
 void for_each_simd_mode(const Body& body) {
   std::vector<std::string> seen;
-  for (SimdMode mode :
-       {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kAvx512}) {
+  for (SimdMode mode : {SimdMode::kScalar, SimdMode::kAvx2}) {
     set_simd_mode(mode);
     const std::string level = simd_mode_name();
     if (std::find(seen.begin(), seen.end(), level) != seen.end()) continue;
