@@ -7,9 +7,10 @@
 // host supports (forced scalar, avx2) and both replay precisions. batch=1
 // is the single-state scalar reference engine (InstanceContext), the path
 // the sweeps ran before the batched engine existed; larger batches run the
-// sweep's production engine (InstanceBatch::evaluate_all_rates on one
-// rate). "speedup_vs_single" tracks the end-to-end win per batch size
-// against the batch=1 time of the SAME SIMD level (float32 rows share
+// sweep's production engine (InstanceBatch::evaluate on one single-rate
+// cluster: one streamed clean pass plus the pooled per-rate estimate).
+// "speedup_vs_single" tracks the end-to-end win per batch size against the
+// batch=1 time of the SAME SIMD level (float32 rows share
 // their level's double baseline — the scalar engine has no float tier, so
 // that is the honest end-to-end comparison). "<case>_replay" rows time
 // JUST the pooled group-estimator replay over a pre-built batched clean
@@ -94,12 +95,13 @@ void run_point(const Case& c, const QuantumCircuit& qc,
     const std::size_t i1 = std::min(i0 + B, instances.size());
     const std::vector<ArithInstance> group(instances.begin() + i0,
                                            instances.begin() + i1);
-    const InstanceBatch batch(qc, c.spec, group, run, plan);
-    std::vector<std::vector<Pcg64>> rngs(1);
-    rngs[0].reserve(group.size());
+    const InstanceBatch batch(qc, c.spec, group, plan);
+    std::vector<InstanceBatch::Cluster> clusters(1);
+    clusters[0].noises = {noise};
+    clusters[0].rngs.resize(1);
     for (std::size_t m = 0; m < group.size(); ++m)
-      rngs[0].push_back(root.split(i0 + m));
-    (void)batch.evaluate_all_rates({noise}, run, rngs);
+      clusters[0].rngs[0].push_back(root.split(i0 + m));
+    (void)batch.evaluate(clusters, run);
   }
 }
 

@@ -165,8 +165,30 @@ panel_tiers_smoke() {
   done
 }
 
+# Peak-memory guard: the tiny Fig. 2 QFM n=4 panel keeps one live batched
+# ideal-pass state per work unit (DESIGN.md §7) and peaks at about 30 MB;
+# the bound adds a 30 MB margin. Storing a checkpoint list per unit again
+# (140 MB at this scale) trips it.
+panel_memory_guard() {
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "== panelbench memory guard skipped (no python3) =="
+    return
+  fi
+  echo "== panelbench: qfm4_fig2 tiny peak RSS guard =="
+  python3 panelbench/run.py --workload qfm4_fig2 --scale tiny --seconds 0 \
+    --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+bound_mb = 60.0
+rss = json.load(sys.stdin)["metrics"]["peak_rss_mb"]["value"]
+if rss > bound_mb:
+    sys.exit("memory guard: qfm4_fig2 tiny peak_rss_mb %.1f > %.0f" % (rss, bound_mb))
+print("memory guard: qfm4_fig2 tiny peak_rss_mb %.1f <= %.0f" % (rss, bound_mb))
+'
+}
+
 run_preset plain
 panel_tiers_smoke
+panel_memory_guard
 echo "== plain: bench_sweep smoke (bounded) =="
 ./build-ci-plain/bench/bench_sweep --instances 4 --traj 6 --shots 256 \
   --reps 1 --out build-ci-plain/BENCH_sweep_smoke.json

@@ -178,63 +178,74 @@ std::vector<InstanceOutcome> InstanceContext::evaluate_rates(
   return outcomes;
 }
 
-std::vector<StateVector> InstanceBatch::initial_states(
-    const CircuitSpec& spec, const std::vector<ArithInstance>& group) {
-  std::vector<StateVector> states;
-  states.reserve(group.size());
-  for (const ArithInstance& inst : group)
-    states.push_back(make_initial_state(spec, inst));
-  return states;
-}
-
 InstanceBatch::InstanceBatch(const QuantumCircuit& transpiled,
                              const CircuitSpec& spec,
                              const std::vector<ArithInstance>& group,
-                             const RunOptions& run,
                              std::shared_ptr<const FusedPlan> plan)
-    : clean_(plan ? std::move(plan)
-                  : std::make_shared<const FusedPlan>(transpiled),
-             initial_states(spec, group), run.checkpoint_interval),
+    : plan_(plan ? std::move(plan)
+                 : std::make_shared<const FusedPlan>(transpiled)),
+      spec_(spec),
+      group_(group),
       output_qubits_(output_qubits(spec)) {
   // The shared plan must describe this exact circuit (same contract as
   // CleanRun): trajectory injection addresses gates by index through it.
-  QFAB_CHECK(clean_.circuit().num_qubits() == transpiled.num_qubits());
-  QFAB_CHECK(clean_.plan().gate_count() == transpiled.gates().size());
-  if (run.health_checks)
-    throw_if_unhealthy(check_lane_norms(clean_.final_states(), kHealthTol),
-                       "batched clean run final states");
-  correct_.reserve(group.size());
-  for (const ArithInstance& inst : group)
-    correct_.push_back(correct_outputs(spec, inst));
+  QFAB_CHECK(plan_->circuit().num_qubits() == transpiled.num_qubits());
+  QFAB_CHECK(plan_->gate_count() == transpiled.gates().size());
+  QFAB_CHECK(!group_.empty() &&
+             group_.size() <=
+                 static_cast<std::size_t>(BatchedStateVector::kMaxLanes));
+  correct_.reserve(group_.size());
+  for (const ArithInstance& inst : group_)
+    correct_.push_back(correct_outputs(spec_, inst));
 }
 
-std::vector<std::vector<InstanceOutcome>> InstanceBatch::evaluate_all_rates(
-    const std::vector<NoiseModel>& noises, const RunOptions& run,
-    std::vector<std::vector<Pcg64>>& rngs, SharedEstimateStats* stats) const {
-  QFAB_CHECK(!noises.empty() && noises.size() == rngs.size());
+std::vector<StateVector> InstanceBatch::initial_states() const {
+  std::vector<StateVector> states;
+  states.reserve(group_.size());
+  for (const ArithInstance& inst : group_)
+    states.push_back(make_initial_state(spec_, inst));
+  return states;
+}
+
+std::vector<std::vector<std::vector<InstanceOutcome>>> InstanceBatch::evaluate(
+    std::vector<Cluster>& clusters, const RunOptions& run) const {
   QFAB_CHECK(!run.per_shot);
-  std::vector<ErrorLocations> errors;
-  errors.reserve(noises.size());
-  for (const NoiseModel& noise : noises)
-    errors.emplace_back(clean_.circuit(), noise);
+  std::vector<RateCluster> rate_clusters(clusters.size());
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    QFAB_CHECK(!clusters[c].noises.empty() &&
+               clusters[c].noises.size() == clusters[c].rngs.size());
+    rate_clusters[c].rate_errors.reserve(clusters[c].noises.size());
+    for (const NoiseModel& noise : clusters[c].noises)
+      rate_clusters[c].rate_errors.emplace_back(plan_->circuit(), noise);
+    rate_clusters[c].rngs = &clusters[c].rngs;
+    rate_clusters[c].stats = clusters[c].stats;
+  }
   SharedEstimatorOptions opt;
   opt.error_trajectories = run.error_trajectories;
   opt.min_ess_fraction = run.shared_min_ess;
-  opt.precision = resolve_precision(run, clean_.plan().gate_count());
+  opt.precision = resolve_precision(run, plan_->gate_count());
   opt.float_drift_budget = run.float_drift_budget;
-  std::vector<std::vector<std::vector<double>>> channels =
-      estimate_channel_marginals_shared(clean_, errors, output_qubits_, opt,
-                                        rngs, stats);
-  std::vector<std::vector<InstanceOutcome>> outcomes(channels.size());
-  for (std::size_t r = 0; r < channels.size(); ++r) {
-    outcomes[r].reserve(channels[r].size());
-    for (std::size_t m = 0; m < channels[r].size(); ++m) {
-      check_channel_health(run, channels[r][m], "shared-cluster channel");
-      if (run.readout.enabled())
-        apply_readout_error(channels[r][m], run.readout);
-      const std::vector<std::uint64_t> counts =
-          sample_shot_counts(channels[r][m], run.shots, rngs[r][m]);
-      outcomes[r].push_back(evaluate_counts(counts, correct_[m]));
+  BatchedCleanPass pass(plan_, initial_states(), run.checkpoint_interval);
+  std::vector<ClusterChannels> channels =
+      estimate_unit_clusters(pass, rate_clusters, output_qubits_, opt);
+  if (run.health_checks)
+    throw_if_unhealthy(check_lane_norms(pass.final_states(), kHealthTol),
+                       "batched clean run final states");
+
+  std::vector<std::vector<std::vector<InstanceOutcome>>> outcomes(
+      clusters.size());
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    outcomes[c].resize(channels[c].size());
+    for (std::size_t r = 0; r < channels[c].size(); ++r) {
+      outcomes[c][r].reserve(channels[c][r].size());
+      for (std::size_t m = 0; m < channels[c][r].size(); ++m) {
+        std::vector<double>& channel = channels[c][r][m];
+        check_channel_health(run, channel, "shared-cluster channel");
+        if (run.readout.enabled()) apply_readout_error(channel, run.readout);
+        const std::vector<std::uint64_t> counts =
+            sample_shot_counts(channel, run.shots, clusters[c].rngs[r][m]);
+        outcomes[c][r].push_back(evaluate_counts(counts, correct_[m]));
+      }
     }
   }
   return outcomes;

@@ -172,27 +172,37 @@ class InstanceContext {
 class InstanceBatch {
  public:
   InstanceBatch(const QuantumCircuit& transpiled, const CircuitSpec& spec,
-                const std::vector<ArithInstance>& group, const RunOptions& run,
+                const std::vector<ArithInstance>& group,
                 std::shared_ptr<const FusedPlan> plan = nullptr);
 
-  /// Evaluate every member at a whole cluster of noise points from one
-  /// shared trajectory set per member
-  /// (estimate_channel_marginals_shared). rngs[r][m] is member m's point
-  /// rng at noises[r]. Returns [rate][member] outcomes. A single-point
-  /// cluster is the pooled per-rate estimator
-  /// (estimate_channel_marginals_batched) on those streams: that is how
-  /// the sweep evaluates its noise-free column and every column of a
-  /// per-rate (shared_trajectories = false) sweep.
-  std::vector<std::vector<InstanceOutcome>> evaluate_all_rates(
-      const std::vector<NoiseModel>& noises, const RunOptions& run,
-      std::vector<std::vector<Pcg64>>& rngs,
-      SharedEstimateStats* stats = nullptr) const;
+  /// One rate cluster of a work unit: its noise points, rngs[r][m] = member
+  /// m's point rng at noises[r], and the shared-estimate stats to bump
+  /// (optional).
+  struct Cluster {
+    std::vector<NoiseModel> noises;
+    std::vector<std::vector<Pcg64>> rngs;
+    SharedEstimateStats* stats = nullptr;
+  };
+
+  /// Evaluate every cluster of a work unit: plan all of them, run one
+  /// streamed clean pass (estimate_unit_clusters), check the final states'
+  /// norms, then draw each point's shots from its stream. Returns
+  /// [cluster][rate][member] outcomes. A multi-point cluster is the shared
+  /// estimator (estimate_channel_marginals_shared); a single-point cluster
+  /// is the pooled per-rate estimator (estimate_channel_marginals_batched)
+  /// on its streams, which is how the sweep evaluates its noise-free column
+  /// and every column of a per-rate (shared_trajectories = false) sweep.
+  std::vector<std::vector<std::vector<InstanceOutcome>>> evaluate(
+      std::vector<Cluster>& clusters, const RunOptions& run) const;
 
  private:
-  static std::vector<StateVector> initial_states(
-      const CircuitSpec& spec, const std::vector<ArithInstance>& group);
+  /// The members' initial states, built per evaluate() call so that no
+  /// full-size state outlives the unit's pass.
+  std::vector<StateVector> initial_states() const;
 
-  BatchedCleanRun clean_;
+  std::shared_ptr<const FusedPlan> plan_;
+  CircuitSpec spec_;
+  std::vector<ArithInstance> group_;
   std::vector<int> output_qubits_;
   std::vector<std::vector<u64>> correct_;
 };

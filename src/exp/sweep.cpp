@@ -135,41 +135,46 @@ void evaluate_member_scalar(SweepContext& sc, std::size_t i, std::size_t d,
   }
 }
 
-/// Production path: the whole instance block [i0, i1) shares each ideal
-/// run (one fused-plan pass for the group) and every rate cluster's
-/// trajectories replay pooled across the block. The shared positive-rate
-/// cluster is one call; every other column (the noise-free one, and all
-/// columns of a per-rate sweep) is a single-rate cluster, which the shared
-/// estimator evaluates as the pooled per-rate estimator. Every point draws
-/// from point_rng(seed, i, d, r), so results do not depend on the grouping.
+/// Production path: the whole instance block [i0, i1) shares one streamed
+/// ideal pass and every rate cluster's trajectories replay pooled across
+/// the block. The shared positive-rate cluster is one cluster; every other
+/// column (the noise-free one, and all columns of a per-rate sweep) is a
+/// single-rate cluster, which the shared estimator evaluates as the pooled
+/// per-rate estimator. All clusters go to one InstanceBatch::evaluate call,
+/// so the unit plans them all, makes one clean pass and keeps one batched
+/// state live. Every point draws from point_rng(seed, i, d, r), so results
+/// do not depend on the grouping.
 void run_unit_batched(SweepContext& sc, std::size_t d, std::size_t i0,
                       std::size_t i1, UnitResult& out) {
-  const RunOptions& run = sc.config.run;
   const std::vector<ArithInstance> group(sc.instances.begin() + i0,
                                          sc.instances.begin() + i1);
   CircuitSpec spec = sc.config.base;
   spec.depth = sc.config.depths[d];
-  const InstanceBatch batch(sc.circuits[d], spec, group, run, sc.plans[d]);
-  auto evaluate_cluster = [&](const std::vector<std::size_t>& columns,
-                              SharedEstimateStats* stats) {
-    std::vector<NoiseModel> noises;
-    std::vector<std::vector<Pcg64>> rngs(columns.size());
-    noises.reserve(columns.size());
-    for (std::size_t c = 0; c < columns.size(); ++c) {
-      noises.push_back(noise_at(sc.config, sc.rates[columns[c]]));
-      rngs[c].reserve(group.size());
+  const InstanceBatch batch(sc.circuits[d], spec, group, sc.plans[d]);
+  std::vector<std::vector<std::size_t>> columns;
+  std::vector<InstanceBatch::Cluster> clusters;
+  auto add_cluster = [&](std::vector<std::size_t> cols,
+                         SharedEstimateStats* stats) {
+    InstanceBatch::Cluster c;
+    c.stats = stats;
+    c.rngs.resize(cols.size());
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      c.noises.push_back(noise_at(sc.config, sc.rates[cols[k]]));
       for (std::size_t m = 0; m < group.size(); ++m)
-        rngs[c].push_back(point_rng(sc.config.seed, i0 + m, d, columns[c]));
+        c.rngs[k].push_back(point_rng(sc.config.seed, i0 + m, d, cols[k]));
     }
-    const std::vector<std::vector<InstanceOutcome>> results =
-        batch.evaluate_all_rates(noises, run, rngs, stats);
-    for (std::size_t c = 0; c < columns.size(); ++c)
-      for (std::size_t m = 0; m < group.size(); ++m)
-        out.outcomes[columns[c]][m] = results[c][m];
+    clusters.push_back(std::move(c));
+    columns.push_back(std::move(cols));
   };
   for (std::size_t r = 0; r < sc.rates.size(); ++r)
-    if (!(sc.use_shared && sc.rates[r] > 0.0)) evaluate_cluster({r}, nullptr);
-  if (sc.use_shared) evaluate_cluster(sc.cluster, &out.stats);
+    if (!(sc.use_shared && sc.rates[r] > 0.0)) add_cluster({r}, nullptr);
+  if (sc.use_shared) add_cluster(sc.cluster, &out.stats);
+  const std::vector<std::vector<std::vector<InstanceOutcome>>> results =
+      batch.evaluate(clusters, sc.config.run);
+  for (std::size_t c = 0; c < columns.size(); ++c)
+    for (std::size_t k = 0; k < columns[c].size(); ++k)
+      for (std::size_t m = 0; m < group.size(); ++m)
+        out.outcomes[columns[c][k]][m] = results[c][k][m];
 }
 
 /// Run one work unit: instance block [i0, i1) at depth index d, all rate

@@ -202,19 +202,358 @@ void note_ess(SharedEstimateStats* stats, double ess_fraction) {
   ++stats->ess_fraction_count;
 }
 
-/// Blend one rate column: w0·ideal + (1−w0)·Σ_u w_u·marg_u.
+/// Blend one rate column: w0·ideal + (1−w0)·Σ_u w_u·marg(u).
+template <typename Marg>
 std::vector<double> blend_weighted(const std::vector<double>& ideal, double w0,
-                                   const RateWeights& rw,
-                                   const std::vector<std::vector<double>>& margs) {
+                                   const RateWeights& rw, Marg&& marg) {
   std::vector<double> out(ideal.size());
   for (std::size_t b = 0; b < out.size(); ++b) out[b] = w0 * ideal[b];
   const double err_w = 1.0 - w0;
   for (std::size_t u = 0; u < rw.w.size(); ++u) {
     const double wu = err_w * rw.w[u];
-    const std::vector<double>& m = margs[u];
+    const std::vector<double>& m = marg(u);
     for (std::size_t b = 0; b < out.size(); ++b) out[b] += wu * m[b];
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Batched estimators: plan / execute / finish.
+//
+// Planning (sampling, dedup, importance weights, the ESS guard and fallback
+// sampling) needs no amplitudes, so every estimate first queues its replay
+// groups on a ReplaySchedule. The schedule then runs all of its groups in
+// order of the boundary they resume from, against a stored BatchedCleanRun
+// or a forward-only BatchedCleanPass, and the estimates finish from the
+// marginals it produced. A group's arithmetic depends only on its start
+// state and events, so both sources give bit-identical results.
+
+/// One trajectory to queue: the clean-run lane it starts from, its first
+/// error site, and its event list.
+struct QueuedTrajectory {
+  std::size_t site;
+  int member;
+  const std::vector<ErrorEvent>* events;
+};
+
+/// How a group's start states are loaded.
+enum class GroupLoad {
+  kPermuted,  // lane j from member lane_map[j], batched (pooled estimators)
+  kLane,      // one member loaded on the scalar path and broadcast (the
+              // single-lane stratified estimator)
+};
+
+/// One replay group: up to kMaxLanes trajectories resumed together at g0.
+struct ReplayGroup {
+  std::size_t g0 = 0;
+  GroupLoad load = GroupLoad::kPermuted;
+  std::vector<int> lane_map;
+  std::vector<std::vector<ErrorEvent>> events;  // per lane
+  std::size_t slot = 0;  // marginal slot of lane 0; lanes are consecutive
+  Precision precision = Precision::kDouble;
+  double drift_budget = 0.0;
+};
+
+/// The replay groups of one or more planned estimates and the per-lane
+/// output marginals they produce.
+class ReplaySchedule {
+ public:
+  /// Stratify `pool` by first-error site (stable) and cut it into groups of
+  /// `width` consecutive trajectories, whichever members they came from:
+  /// a group shares almost all of its ideal prefix, so resuming it at its
+  /// earliest site (+1, as scalar run_trajectory does) wastes little
+  /// replay and its injection sites cluster into few fused ops. Returns
+  /// each trajectory's marginal slot, aligned with `pool`.
+  std::vector<std::size_t> add(const std::vector<QueuedTrajectory>& pool,
+                               std::size_t width, GroupLoad load,
+                               Precision precision, double drift_budget) {
+    QFAB_CHECK(width >= 1 &&
+               width <= static_cast<std::size_t>(BatchedStateVector::kMaxLanes));
+    std::vector<std::size_t> order(pool.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return pool[a].site < pool[b].site;
+                     });
+    std::vector<std::size_t> slots(pool.size());
+    for (std::size_t lo = 0; lo < order.size(); lo += width) {
+      const std::size_t lanes = std::min(width, order.size() - lo);
+      ReplayGroup g;
+      g.g0 = pool[order[lo]].site + 1;
+      g.load = load;
+      g.slot = marginals_;
+      g.precision = precision;
+      g.drift_budget = drift_budget;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        const QueuedTrajectory& traj = pool[order[lo + j]];
+        g.lane_map.push_back(traj.member);
+        g.events.push_back(*traj.events);
+        slots[order[lo + j]] = g.slot + j;
+      }
+      marginals_ += lanes;
+      groups_.push_back(std::move(g));
+    }
+    return slots;
+  }
+
+  /// Replay every group, in stable order of the boundary it resumes from,
+  /// against `clean` (BatchedCleanRun or BatchedCleanPass).
+  template <typename Source>
+  void run(Source& clean, const std::vector<int>& output_qubits) {
+    std::vector<std::size_t> boundary(groups_.size());
+    for (std::size_t i = 0; i < groups_.size(); ++i)
+      boundary[i] = clean.checkpoint_before(groups_[i].g0);
+    std::vector<std::size_t> order(groups_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return boundary[a] < boundary[b];
+                     });
+    const FusedPlan& plan = clean.plan();
+    const int nq = plan.circuit().num_qubits();
+    ReplayWorkspace& ws = replay_workspace();
+    margs_.resize(marginals_);
+    for (std::size_t i : order) {
+      const ReplayGroup& g = groups_[i];
+      const int lanes = static_cast<int>(g.events.size());
+      // One scalar start state per group, shared by a double redo.
+      if (g.load == GroupLoad::kLane)
+        clean.lane_state_at(g.lane_map.front(), g.g0, ws.sv);
+      replay_group_marginals(plan, g.g0, g.events, output_qubits, g.precision,
+                             g.drift_budget, ws, [&](auto& bsv) {
+                               if (g.load == GroupLoad::kLane) {
+                                 bsv.reset(nq, lanes);
+                                 bsv.broadcast(ws.sv);
+                               } else {
+                                 clean.load_states_at(g.g0, g.lane_map, bsv);
+                               }
+                             });
+      for (int j = 0; j < lanes; ++j)
+        margs_[g.slot + static_cast<std::size_t>(j)] =
+            ws.margs[static_cast<std::size_t>(j)];
+    }
+  }
+
+  const std::vector<double>& marginal(std::size_t slot) const {
+    return margs_[slot];
+  }
+
+ private:
+  std::vector<ReplayGroup> groups_;
+  std::size_t marginals_ = 0;
+  std::vector<std::vector<double>> margs_;
+};
+
+/// A planned per-rate stratified estimate of some lanes ("members") of a
+/// batched group, each from its own stream: T trajectories conditioned on
+/// at least one error, blended with the analytic clean weight w0.
+struct StratifiedPlan {
+  double w0 = 1.0;
+  std::size_t T = 0;               // 0: the estimate is the ideal marginal
+  std::vector<std::size_t> slots;  // [member index * T + t]
+};
+
+/// Plan a stratified estimate of clean-run lanes `members`: member i's
+/// trajectories are pre-sampled from rngs[i] (member-major, exactly the
+/// scalar estimator's stream consumption) and queued pooled across
+/// members, `width` lanes per group.
+StratifiedPlan plan_stratified(ReplaySchedule& schedule,
+                               const ErrorLocations& errors,
+                               const std::vector<int>& members, Pcg64* rngs,
+                               const EstimatorOptions& options,
+                               std::size_t width, GroupLoad load) {
+  StratifiedPlan plan;
+  plan.w0 = errors.clean_probability();
+  if (errors.noisy_gate_count() == 0 || plan.w0 >= 1.0) return plan;
+  QFAB_CHECK(options.error_trajectories >= 1);
+  plan.T = static_cast<std::size_t>(options.error_trajectories);
+  const std::size_t n = members.size();
+  std::vector<std::vector<ErrorEvent>> events(n * plan.T);
+  std::vector<QueuedTrajectory> pool;
+  pool.reserve(events.size());
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t t = 0; t < plan.T; ++t) {
+      std::vector<ErrorEvent>& ev = events[i * plan.T + t];
+      ev = errors.sample_at_least_one(rngs[i]);
+      pool.push_back(
+          QueuedTrajectory{ev.front().gate_index, members[i], &ev});
+    }
+  plan.slots = schedule.add(pool, width, load, options.precision,
+                            options.float_drift_budget);
+  return plan;
+}
+
+/// Member i's estimate: accumulate its marginals in the original sample
+/// order (independent of the grouping) and blend.
+std::vector<double> finish_stratified(const StratifiedPlan& plan,
+                                      std::size_t i,
+                                      const ReplaySchedule& schedule,
+                                      const std::vector<double>& ideal) {
+  if (plan.T == 0) return ideal;
+  std::vector<double> err_mean(ideal.size(), 0.0);
+  for (std::size_t t = 0; t < plan.T; ++t) {
+    const std::vector<double>& m = schedule.marginal(plan.slots[i * plan.T + t]);
+    for (std::size_t b = 0; b < err_mean.size(); ++b) err_mean[b] += m[b];
+  }
+  const double scale = (1.0 - plan.w0) / static_cast<double>(plan.T);
+  std::vector<double> out(ideal.size());
+  for (std::size_t b = 0; b < out.size(); ++b)
+    out[b] = plan.w0 * ideal[b] + scale * err_mean[b];
+  return out;
+}
+
+/// A planned shared-trajectory estimate of a rate cluster over every lane
+/// of a batched group (see estimate_channel_marginals_shared).
+struct SharedPlan {
+  std::size_t R = 0, L = 0;
+  bool single_rate = false;  // R == 1: per_rate is the whole estimate
+  StratifiedPlan per_rate;
+  bool ideal_only = false;   // the proposal has no noisy gate
+  std::vector<double> w0;    // per rate
+  std::vector<std::vector<std::size_t>> slots;  // [member][unique]
+  struct Column {
+    RateWeights rw;
+    int fallback = -1;  // index into fallbacks, or -1: blend rw
+  };
+  std::vector<std::vector<Column>> columns;  // [rate][member]
+  std::vector<StratifiedPlan> fallbacks;
+};
+
+SharedPlan plan_shared(ReplaySchedule& schedule, std::size_t L,
+                       const std::vector<ErrorLocations>& rate_errors,
+                       const SharedEstimatorOptions& options,
+                       std::vector<std::vector<Pcg64>>& rngs,
+                       SharedEstimateStats* stats) {
+  SharedPlan plan;
+  plan.L = L;
+  plan.R = rate_errors.size();
+  const std::size_t R = plan.R;
+  QFAB_CHECK(R >= 1 && rngs.size() == R);
+  for (const std::vector<Pcg64>& r : rngs) QFAB_CHECK(r.size() == L);
+  QFAB_CHECK(options.error_trajectories >= 1);
+  const int T = options.error_trajectories;
+  const EstimatorOptions eopt{T, options.precision,
+                              options.float_drift_budget};
+  if (stats) stats->rate_columns += static_cast<long>(R * L);
+  std::vector<int> all_members(L);
+  std::iota(all_members.begin(), all_members.end(), 0);
+
+  // Single-rate cluster: the pooled per-rate estimator outright.
+  if (R == 1) {
+    if (stats && rate_errors[0].noisy_gate_count() > 0) {
+      stats->proposal_trajectories += static_cast<long>(L) * T;
+      stats->unique_trajectories += static_cast<long>(L) * T;
+    }
+    plan.single_rate = true;
+    plan.per_rate = plan_stratified(schedule, rate_errors[0], all_members,
+                                    rngs[0].data(), eopt, L,
+                                    GroupLoad::kPermuted);
+    return plan;
+  }
+
+  const std::size_t p = pick_proposal(rate_errors);
+  if (rate_errors[p].noisy_gate_count() == 0) {
+    plan.ideal_only = true;
+    return plan;
+  }
+  for (std::size_t r = 0; r < R; ++r)
+    QFAB_CHECK_MSG(rate_errors[p].reweightable_to(rate_errors[r]),
+                   "shared-trajectory cluster rates are not reweightable");
+
+  // Member-major sampling from the proposal streams (the order the pooled
+  // per-rate estimator consumes them), each member deduplicated on its own.
+  std::vector<UniqueTrajectories> uniq;
+  uniq.reserve(L);
+  for (std::size_t m = 0; m < L; ++m)
+    uniq.push_back(sample_unique_trajectories(rate_errors[p], T, rngs[p][m]));
+  if (stats)
+    for (const UniqueTrajectories& u : uniq) {
+      stats->proposal_trajectories += u.total;
+      stats->unique_trajectories += static_cast<long>(u.events.size());
+    }
+
+  // Every member's unique trajectories replay pooled, L lanes per group.
+  std::vector<QueuedTrajectory> pool;
+  for (std::size_t m = 0; m < L; ++m)
+    for (const std::vector<ErrorEvent>& ev : uniq[m].events)
+      pool.push_back(QueuedTrajectory{ev.front().gate_index,
+                                      static_cast<int>(m), &ev});
+  const std::vector<std::size_t> pooled_slots =
+      schedule.add(pool, L, GroupLoad::kPermuted, options.precision,
+                   options.float_drift_budget);
+  plan.slots.resize(L);
+  for (std::size_t k = 0; k < pool.size(); ++k)
+    plan.slots[static_cast<std::size_t>(pool[k].member)].push_back(
+        pooled_slots[k]);
+
+  const std::vector<std::vector<double>> deltas =
+      delta_log_odds_per_rate(rate_errors, p);
+  const double min_ess = options.min_ess_fraction * static_cast<double>(T);
+  const std::size_t fallback_lanes =
+      std::min<std::size_t>(L, BatchedStateVector::kMaxLanes);
+  plan.w0.resize(R);
+  plan.columns.assign(R, std::vector<SharedPlan::Column>(L));
+  for (std::size_t r = 0; r < R; ++r) {
+    plan.w0[r] = rate_errors[r].clean_probability();
+    for (std::size_t m = 0; m < L; ++m) {
+      SharedPlan::Column& col = plan.columns[r][m];
+      col.rw = reweight(uniq[m], deltas[r]);
+      if (r != p) note_ess(stats, col.rw.ess / static_cast<double>(T));
+      if (r != p && col.rw.ess < min_ess) {
+        // Weight degeneracy: this column is re-estimated from its own
+        // stream by exactly the single-lane per-rate estimator.
+        if (stats) {
+          ++stats->fallback_columns;
+          stats->fallback_trajectories += T;
+        }
+        col.fallback = static_cast<int>(plan.fallbacks.size());
+        plan.fallbacks.push_back(plan_stratified(
+            schedule, rate_errors[r], {static_cast<int>(m)}, &rngs[r][m],
+            eopt, fallback_lanes, GroupLoad::kLane));
+      }
+    }
+  }
+  return plan;
+}
+
+/// [rate][member] estimates of a planned cluster; ideals[m] is member m's
+/// ideal output marginal.
+ClusterChannels finish_shared(const SharedPlan& plan,
+                              const ReplaySchedule& schedule,
+                              const std::vector<std::vector<double>>& ideals) {
+  if (plan.single_rate) {
+    ClusterChannels out(1, std::vector<std::vector<double>>(plan.L));
+    for (std::size_t m = 0; m < plan.L; ++m)
+      out[0][m] = finish_stratified(plan.per_rate, m, schedule, ideals[m]);
+    return out;
+  }
+  if (plan.ideal_only) return ClusterChannels(plan.R, ideals);
+  ClusterChannels out(plan.R, std::vector<std::vector<double>>(plan.L));
+  for (std::size_t r = 0; r < plan.R; ++r)
+    for (std::size_t m = 0; m < plan.L; ++m) {
+      const SharedPlan::Column& col = plan.columns[r][m];
+      if (col.fallback >= 0) {
+        out[r][m] = finish_stratified(
+            plan.fallbacks[static_cast<std::size_t>(col.fallback)], 0,
+            schedule, ideals[m]);
+        continue;
+      }
+      out[r][m] = blend_weighted(ideals[m], plan.w0[r], col.rw,
+                                 [&](std::size_t u) -> const std::vector<double>& {
+                                   return schedule.marginal(plan.slots[m][u]);
+                                 });
+    }
+  return out;
+}
+
+template <typename Source>
+std::vector<std::vector<double>> lane_ideals(const Source& clean,
+                                             const std::vector<int>& qubits) {
+  std::vector<std::vector<double>> ideals(
+      static_cast<std::size_t>(clean.lanes()));
+  for (std::size_t m = 0; m < ideals.size(); ++m)
+    ideals[m] = clean.lane_ideal_marginal(static_cast<int>(m), qubits);
+  return ideals;
 }
 
 }  // namespace
@@ -267,62 +606,14 @@ std::vector<double> estimate_channel_marginal_batched(
     const BatchedCleanRun& clean, int lane, const ErrorLocations& errors,
     const std::vector<int>& output_qubits, const EstimatorOptions& options,
     int max_lanes, Pcg64& rng) {
-  const std::vector<double> ideal =
-      clean.lane_ideal_marginal(lane, output_qubits);
-  const double w0 = errors.clean_probability();
-  if (errors.noisy_gate_count() == 0 || w0 >= 1.0) return ideal;
-  QFAB_CHECK(options.error_trajectories >= 1);
-  QFAB_CHECK(max_lanes >= 1 && max_lanes <= BatchedStateVector::kMaxLanes);
-  const int T = options.error_trajectories;
-  const FusedPlan& plan = clean.plan();
-  ReplayWorkspace& ws = replay_workspace();
-
-  // Pre-sample every trajectory's event list sequentially: the rng stream
-  // is identical to the scalar estimator's and independent of lane packing.
-  std::vector<std::vector<ErrorEvent>> all_events(T);
-  for (int t = 0; t < T; ++t) all_events[t] = errors.sample_at_least_one(rng);
-
-  // Stratify: sort trajectory indices by first-error site so lanes batched
-  // together share (almost) all of their ideal prefix and the broadcast
-  // start state wastes little replay.
-  std::vector<int> order(static_cast<std::size_t>(T));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return all_events[a].front().gate_index < all_events[b].front().gate_index;
-  });
-
-  std::vector<std::vector<double>> margs(static_cast<std::size_t>(T));
-  for (int lo = 0; lo < T; lo += max_lanes) {
-    const int lanes = std::min(max_lanes, T - lo);
-    // Scalar run_trajectory resumes at first_gate_index + 1; the group
-    // resumes at the earliest such site and the later lanes replay the
-    // few extra ideal gates batched.
-    const std::size_t g0 = all_events[order[lo]].front().gate_index + 1;
-    std::vector<std::vector<ErrorEvent>> lane_events(lanes);
-    for (int l = 0; l < lanes; ++l) lane_events[l] = all_events[order[lo + l]];
-    // One start state, shared by a double redo.
-    const StateVector start = clean.lane_state_at(lane, g0);
-    replay_group_marginals(plan, g0, lane_events, output_qubits,
-                           options.precision, options.float_drift_budget, ws,
-                           [&](auto& bsv) {
-                             bsv.reset(plan.circuit().num_qubits(), lanes);
-                             bsv.broadcast(start);
-                           });
-    for (int l = 0; l < lanes; ++l)
-      margs[order[lo + l]] = ws.margs[static_cast<std::size_t>(l)];
-  }
-
-  // Accumulate in original sample order, not lane order, so the estimate
-  // does not depend on the stratified packing.
-  std::vector<double> err_mean(ideal.size(), 0.0);
-  for (int t = 0; t < T; ++t)
-    for (std::size_t i = 0; i < err_mean.size(); ++i)
-      err_mean[i] += margs[t][i];
-  const double scale = (1.0 - w0) / static_cast<double>(T);
-  std::vector<double> out(ideal.size());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = w0 * ideal[i] + scale * err_mean[i];
-  return out;
+  QFAB_CHECK(max_lanes >= 1);
+  ReplaySchedule schedule;
+  const StratifiedPlan plan =
+      plan_stratified(schedule, errors, {lane}, &rng, options,
+                      static_cast<std::size_t>(max_lanes), GroupLoad::kLane);
+  schedule.run(clean, output_qubits);
+  return finish_stratified(plan, 0, schedule,
+                           clean.lane_ideal_marginal(lane, output_qubits));
 }
 
 std::vector<std::vector<double>> estimate_channel_marginals_batched(
@@ -331,83 +622,18 @@ std::vector<std::vector<double>> estimate_channel_marginals_batched(
     std::vector<Pcg64>& rngs) {
   const std::size_t L = static_cast<std::size_t>(clean.lanes());
   QFAB_CHECK(rngs.size() == L);
-  std::vector<std::vector<double>> ideals(L);
-  for (std::size_t i = 0; i < L; ++i)
-    ideals[i] = clean.lane_ideal_marginal(static_cast<int>(i), output_qubits);
-  const double w0 = errors.clean_probability();
-  if (errors.noisy_gate_count() == 0 || w0 >= 1.0) return ideals;
-  QFAB_CHECK(options.error_trajectories >= 1);
-  const std::size_t T = static_cast<std::size_t>(options.error_trajectories);
-
-  // Pre-sample every member's trajectories from its own stream (identical
-  // rng consumption to the per-member estimator), then pool all L*T
-  // trajectories across members and sort by first-error site. Groups of L
-  // consecutive pooled trajectories — whichever members they came from —
-  // share nearly all of their ideal prefix, so each group's batched replay
-  // from the common resume point wastes little work and its injection
-  // sites cluster into few fused ops. Marginals are written back per
-  // (member, original sample index), and the fused walk replays each
-  // lane with exactly the decomposition its trajectory would get solo
-  // from the same resume point (see run_trajectories_batched) — what
-  // varies with the packing is only the group resume gate, so the
-  // estimate is packing-independent up to replay rounding on that
-  // shared prefix.
-  std::vector<std::vector<std::vector<ErrorEvent>>> all_events(
-      L, std::vector<std::vector<ErrorEvent>>(T));
-  struct Traj {
-    std::size_t site;  // first-error gate index
-    std::size_t member;
-    std::size_t t;  // original sample index within the member
-  };
-  std::vector<Traj> pool;
-  pool.reserve(L * T);
-  for (std::size_t i = 0; i < L; ++i)
-    for (std::size_t t = 0; t < T; ++t) {
-      all_events[i][t] = errors.sample_at_least_one(rngs[i]);
-      pool.push_back(Traj{all_events[i][t].front().gate_index, i, t});
-    }
-  std::stable_sort(pool.begin(), pool.end(),
-                   [](const Traj& a, const Traj& b) { return a.site < b.site; });
-
-  std::vector<std::vector<std::vector<double>>> margs(
-      L, std::vector<std::vector<double>>(T));
-  ReplayWorkspace& ws = replay_workspace();
-  for (std::size_t lo = 0; lo < pool.size(); lo += L) {
-    const std::size_t lanes = std::min(L, pool.size() - lo);
-    std::vector<int> lane_map(lanes);
-    std::vector<std::vector<ErrorEvent>> lane_events(lanes);
-    for (std::size_t j = 0; j < lanes; ++j) {
-      const Traj& traj = pool[lo + j];
-      lane_map[j] = static_cast<int>(traj.member);
-      lane_events[j] = all_events[traj.member][traj.t];
-    }
-    // Scalar run_trajectory resumes at first_gate_index + 1; the group
-    // resumes at its earliest such site (pool is sorted, so that is the
-    // first entry) and later lanes replay the few extra ideal gates
-    // batched.
-    const std::size_t g0 = pool[lo].site + 1;
-    replay_group_marginals(
-        clean.plan(), g0, lane_events, output_qubits, options.precision,
-        options.float_drift_budget, ws,
-        [&](auto& bsv) { clean.load_states_at(g0, lane_map, bsv); });
-    for (std::size_t j = 0; j < lanes; ++j)
-      margs[pool[lo + j].member][pool[lo + j].t] = ws.margs[j];
-  }
-
-  // Per member, accumulate in the original sample order (grouping-
-  // independent) and blend with the analytic clean weight.
-  const double scale = (1.0 - w0) / static_cast<double>(T);
+  std::vector<int> members(L);
+  std::iota(members.begin(), members.end(), 0);
+  ReplaySchedule schedule;
+  const StratifiedPlan plan =
+      plan_stratified(schedule, errors, members, rngs.data(), options, L,
+                      GroupLoad::kPermuted);
+  schedule.run(clean, output_qubits);
+  const std::vector<std::vector<double>> ideals =
+      lane_ideals(clean, output_qubits);
   std::vector<std::vector<double>> out(L);
-  for (std::size_t i = 0; i < L; ++i) {
-    const std::vector<double>& ideal = ideals[i];
-    std::vector<double> err_mean(ideal.size(), 0.0);
-    for (std::size_t t = 0; t < T; ++t)
-      for (std::size_t b = 0; b < err_mean.size(); ++b)
-        err_mean[b] += margs[i][t][b];
-    out[i].resize(ideal.size());
-    for (std::size_t b = 0; b < out[i].size(); ++b)
-      out[i][b] = w0 * ideal[b] + scale * err_mean[b];
-  }
+  for (std::size_t i = 0; i < L; ++i)
+    out[i] = finish_stratified(plan, i, schedule, ideals[i]);
   return out;
 }
 
@@ -480,121 +706,47 @@ std::vector<std::vector<double>> estimate_channel_marginal_shared(
       continue;
     }
     out[r] = blend_weighted(ideal, rate_errors[r].clean_probability(), rw,
-                            umargs);
+                            [&](std::size_t u) -> const std::vector<double>& {
+                              return umargs[u];
+                            });
   }
   return out;
 }
 
-std::vector<std::vector<std::vector<double>>> estimate_channel_marginals_shared(
+ClusterChannels estimate_channel_marginals_shared(
     const BatchedCleanRun& clean, const std::vector<ErrorLocations>& rate_errors,
     const std::vector<int>& output_qubits,
     const SharedEstimatorOptions& options,
     std::vector<std::vector<Pcg64>>& rngs, SharedEstimateStats* stats) {
-  const std::size_t L = static_cast<std::size_t>(clean.lanes());
-  const std::size_t R = rate_errors.size();
-  QFAB_CHECK(R >= 1 && rngs.size() == R);
-  for (const std::vector<Pcg64>& r : rngs) QFAB_CHECK(r.size() == L);
-  QFAB_CHECK(options.error_trajectories >= 1);
-  const int T = options.error_trajectories;
-  const EstimatorOptions eopt{T, options.precision,
-                              options.float_drift_budget};
-  if (stats) stats->rate_columns += static_cast<long>(R * L);
+  ReplaySchedule schedule;
+  const SharedPlan plan =
+      plan_shared(schedule, static_cast<std::size_t>(clean.lanes()),
+                  rate_errors, options, rngs, stats);
+  schedule.run(clean, output_qubits);
+  return finish_shared(plan, schedule, lane_ideals(clean, output_qubits));
+}
 
-  // Single-rate cluster: the pooled per-rate estimator outright.
-  if (R == 1) {
-    if (stats && rate_errors[0].noisy_gate_count() > 0) {
-      stats->proposal_trajectories += static_cast<long>(L) * T;
-      stats->unique_trajectories += static_cast<long>(L) * T;
-    }
-    std::vector<std::vector<std::vector<double>>> out(1);
-    out[0] = estimate_channel_marginals_batched(clean, rate_errors[0],
-                                                output_qubits, eopt, rngs[0]);
-    return out;
+std::vector<ClusterChannels> estimate_unit_clusters(
+    BatchedCleanPass& pass, const std::vector<RateCluster>& clusters,
+    const std::vector<int>& output_qubits,
+    const SharedEstimatorOptions& options) {
+  QFAB_CHECK_MSG(pass.position() == 0, "clean pass already advanced");
+  ReplaySchedule schedule;
+  std::vector<SharedPlan> plans;
+  plans.reserve(clusters.size());
+  for (const RateCluster& c : clusters) {
+    QFAB_CHECK(c.rngs != nullptr);
+    plans.push_back(plan_shared(schedule, static_cast<std::size_t>(pass.lanes()),
+                                c.rate_errors, options, *c.rngs, c.stats));
   }
-
-  std::vector<std::vector<double>> ideals(L);
-  for (std::size_t m = 0; m < L; ++m)
-    ideals[m] = clean.lane_ideal_marginal(static_cast<int>(m), output_qubits);
-  const std::size_t p = pick_proposal(rate_errors);
-  if (rate_errors[p].noisy_gate_count() == 0)
-    return std::vector<std::vector<std::vector<double>>>(R, ideals);
-  for (std::size_t r = 0; r < R; ++r)
-    QFAB_CHECK_MSG(rate_errors[p].reweightable_to(rate_errors[r]),
-                   "shared-trajectory cluster rates are not reweightable");
-
-  // Member-major sampling from the proposal streams (the order the pooled
-  // per-rate estimator consumes them), each member deduplicated on its own.
-  std::vector<UniqueTrajectories> uniq;
-  uniq.reserve(L);
-  for (std::size_t m = 0; m < L; ++m)
-    uniq.push_back(sample_unique_trajectories(rate_errors[p], T, rngs[p][m]));
-  if (stats)
-    for (const UniqueTrajectories& u : uniq) {
-      stats->proposal_trajectories += u.total;
-      stats->unique_trajectories += static_cast<long>(u.events.size());
-    }
-
-  // Pool every member's unique trajectories, sort by first-error site, and
-  // replay lanes-at-a-time from the batched checkpoints (see
-  // estimate_channel_marginals_batched for why the bands are tight).
-  struct Traj {
-    std::size_t site;
-    std::size_t member;
-    std::size_t u;  // unique index within the member
-  };
-  std::vector<Traj> pool;
-  for (std::size_t m = 0; m < L; ++m)
-    for (std::size_t u = 0; u < uniq[m].events.size(); ++u)
-      pool.push_back(Traj{uniq[m].events[u].front().gate_index, m, u});
-  std::stable_sort(pool.begin(), pool.end(),
-                   [](const Traj& a, const Traj& b) { return a.site < b.site; });
-
-  ReplayWorkspace& ws = replay_workspace();
-  std::vector<std::vector<std::vector<double>>> umargs(L);
-  for (std::size_t m = 0; m < L; ++m) umargs[m].resize(uniq[m].events.size());
-  for (std::size_t lo = 0; lo < pool.size(); lo += L) {
-    const std::size_t lanes = std::min(L, pool.size() - lo);
-    std::vector<int> lane_map(lanes);
-    std::vector<std::vector<ErrorEvent>> lane_events(lanes);
-    for (std::size_t j = 0; j < lanes; ++j) {
-      const Traj& traj = pool[lo + j];
-      lane_map[j] = static_cast<int>(traj.member);
-      lane_events[j] = uniq[traj.member].events[traj.u];
-    }
-    const std::size_t g0 = pool[lo].site + 1;
-    replay_group_marginals(
-        clean.plan(), g0, lane_events, output_qubits, options.precision,
-        options.float_drift_budget, ws,
-        [&](auto& bsv) { clean.load_states_at(g0, lane_map, bsv); });
-    for (std::size_t j = 0; j < lanes; ++j)
-      umargs[pool[lo + j].member][pool[lo + j].u] = ws.margs[j];
-  }
-
-  const std::vector<std::vector<double>> deltas =
-      delta_log_odds_per_rate(rate_errors, p);
-  const double min_ess = options.min_ess_fraction * static_cast<double>(T);
-  const int fallback_lanes =
-      std::min<int>(clean.lanes(), BatchedStateVector::kMaxLanes);
-  std::vector<std::vector<std::vector<double>>> out(
-      R, std::vector<std::vector<double>>(L));
-  for (std::size_t r = 0; r < R; ++r) {
-    const double w0 = rate_errors[r].clean_probability();
-    for (std::size_t m = 0; m < L; ++m) {
-      const RateWeights rw = reweight(uniq[m], deltas[r]);
-      if (r != p) note_ess(stats, rw.ess / static_cast<double>(T));
-      if (r != p && rw.ess < min_ess) {
-        if (stats) {
-          ++stats->fallback_columns;
-          stats->fallback_trajectories += T;
-        }
-        out[r][m] = estimate_channel_marginal_batched(
-            clean, static_cast<int>(m), rate_errors[r], output_qubits, eopt,
-            fallback_lanes, rngs[r][m]);
-        continue;
-      }
-      out[r][m] = blend_weighted(ideals[m], w0, rw, umargs[m]);
-    }
-  }
+  schedule.run(pass, output_qubits);
+  pass.finish();
+  const std::vector<std::vector<double>> ideals =
+      lane_ideals(pass, output_qubits);
+  std::vector<ClusterChannels> out;
+  out.reserve(plans.size());
+  for (const SharedPlan& plan : plans)
+    out.push_back(finish_shared(plan, schedule, ideals));
   return out;
 }
 

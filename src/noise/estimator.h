@@ -122,6 +122,10 @@ std::vector<std::vector<double>> estimate_channel_marginal_shared(
     const SharedEstimatorOptions& options, std::vector<Pcg64>& rngs,
     SharedEstimateStats* stats = nullptr);
 
+/// [rate][member] output-marginal estimates of one rate cluster of a
+/// batched group.
+using ClusterChannels = std::vector<std::vector<std::vector<double>>>;
+
 /// All-members form of estimate_channel_marginal_shared for a batched group
 /// of clean runs: per member, T proposal trajectories are sampled
 /// (member-major, matching estimate_channel_marginals_batched's stream
@@ -130,12 +134,39 @@ std::vector<std::vector<double>> estimate_channel_marginal_shared(
 /// shared plan pass. rngs[rate][member]; an ESS fallback re-estimates one
 /// (rate, member) column via the single-lane per-rate estimator from
 /// rngs[rate][member]. Returns [rate][member] marginal estimates.
-std::vector<std::vector<std::vector<double>>> estimate_channel_marginals_shared(
+ClusterChannels estimate_channel_marginals_shared(
     const BatchedCleanRun& clean, const std::vector<ErrorLocations>& rate_errors,
     const std::vector<int>& output_qubits,
     const SharedEstimatorOptions& options,
     std::vector<std::vector<Pcg64>>& rngs,
     SharedEstimateStats* stats = nullptr);
+
+/// One rate cluster of a work unit for estimate_unit_clusters: its error
+/// locations per rate, its streams rngs[rate][member] (consumed in place,
+/// as estimate_channel_marginals_shared consumes them) and optional stats.
+struct RateCluster {
+  std::vector<ErrorLocations> rate_errors;
+  std::vector<std::vector<Pcg64>>* rngs = nullptr;
+  SharedEstimateStats* stats = nullptr;
+};
+
+/// Every rate cluster of a work unit from ONE forward clean pass, in three
+/// phases:
+///  1. plan — each cluster draws its streams, deduplicates, weights, applies
+///     the ESS guard and samples its fallbacks (no amplitudes needed), and
+///     queues its replay groups;
+///  2. execute — all groups of the unit run stably sorted by the boundary
+///     they resume from, each started as `pass` reaches that boundary;
+///  3. finish — `pass` runs to its end and every cluster blends from the
+///     final states' ideal marginals.
+/// Cluster c's result is bit for bit estimate_channel_marginals_shared on a
+/// BatchedCleanRun of the same plan, initial states and interval, with the
+/// same streams; only one batched state is live instead of one per
+/// boundary. `pass` must not have advanced; it is finished on return.
+std::vector<ClusterChannels> estimate_unit_clusters(
+    BatchedCleanPass& pass, const std::vector<RateCluster>& clusters,
+    const std::vector<int>& output_qubits,
+    const SharedEstimatorOptions& options);
 
 /// Channel-averaged distribution of `output_qubits`: the scalar reference
 /// estimator (one trajectory at a time, always double).

@@ -231,41 +231,136 @@ void run_trajectory(const CleanRun& clean,
   clean.plan().apply_range(out, applied, total);
 }
 
-BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
-                                 const std::vector<StateVector>& initials,
-                                 std::size_t checkpoint_interval)
-    : plan_(std::move(plan)), interval_(checkpoint_interval) {
-  QFAB_CHECK(plan_ != nullptr);
+namespace {
+
+/// Pass boundaries: 0, then fused-op boundaries at (or just past) every
+/// `interval` gates, then the gate count. An interval boundary inside an op
+/// would force a partial-op pass both in the clean run and on every resume
+/// from it, so it snaps forward to the op's end.
+std::vector<std::size_t> pass_boundaries(const FusedPlan& plan,
+                                         std::size_t interval) {
+  const std::size_t total = plan.gate_count();
+  std::vector<std::size_t> out{0};
+  out.reserve(total / interval + 2);
+  std::size_t applied = 0;
+  while (applied < total) {
+    std::size_t next = std::min(applied + interval, total);
+    if (next < total) {
+      const FusedOp& op = plan.ops()[plan.op_of_gate(next)];
+      if (op.gate_begin != next) next = std::min(op.gate_end, total);
+    }
+    applied = next;
+    out.push_back(applied);
+  }
+  return out;
+}
+
+std::size_t boundary_before(const std::vector<std::size_t>& boundaries,
+                            std::size_t gate_count) {
+  const auto it =
+      std::upper_bound(boundaries.begin(), boundaries.end(), gate_count);
+  return static_cast<std::size_t>(it - boundaries.begin()) - 1;
+}
+
+// The two resume loads, shared by the live pass and the stored run: `base`
+// holds every lane after `base_gates` gates.
+template <typename Real>
+void load_permuted(const FusedPlan& plan, const BatchedStateVector& base,
+                   std::size_t base_gates, std::size_t gate_count,
+                   const std::vector<int>& lane_map,
+                   BatchedStateVectorT<Real>& out) {
+  out.assign_permuted(base, lane_map);
+  apply_plan_range(plan, out, base_gates, gate_count);
+}
+
+void load_lane(const FusedPlan& plan, const BatchedStateVector& base,
+               std::size_t base_gates, std::size_t gate_count, int lane,
+               StateVector& out) {
+  base.lane_state(lane, out);
+  plan.apply_range(out, base_gates, gate_count);
+}
+
+BatchedStateVector initial_lanes(const FusedPlan& plan,
+                                 const std::vector<StateVector>& initials) {
   QFAB_CHECK(!initials.empty() &&
              initials.size() <=
                  static_cast<std::size_t>(BatchedStateVector::kMaxLanes));
-  QFAB_CHECK(interval_ >= 1);
-  const int nq = plan_->circuit().num_qubits();
+  const int nq = plan.circuit().num_qubits();
   BatchedStateVector bsv(nq, static_cast<int>(initials.size()));
   for (std::size_t l = 0; l < initials.size(); ++l) {
     QFAB_CHECK(initials[l].num_qubits() == nq);
     bsv.set_lane(static_cast<int>(l), initials[l]);
   }
-  const std::size_t total = plan_->gate_count();
-  checkpoints_.reserve(total / interval_ + 2);
-  boundaries_.reserve(total / interval_ + 2);
-  checkpoints_.push_back(bsv);
-  boundaries_.push_back(0);
-  std::size_t applied = 0;
-  while (applied < total) {
-    std::size_t next = std::min(applied + interval_, total);
-    if (next < total) {
-      // Snap forward to the next fused-op boundary: an interval boundary
-      // inside an op would force a partial-op pass both here and on every
-      // resume from the checkpoint.
-      const FusedOp& op = plan_->ops()[plan_->op_of_gate(next)];
-      if (op.gate_begin != next) next = std::min(op.gate_end, total);
-    }
-    apply_plan_range(*plan_, bsv, applied, next);
-    applied = next;
-    checkpoints_.push_back(bsv);
-    boundaries_.push_back(applied);
-  }
+  return bsv;
+}
+
+}  // namespace
+
+BatchedCleanPass::BatchedCleanPass(std::shared_ptr<const FusedPlan> plan,
+                                   const std::vector<StateVector>& initials,
+                                   std::size_t checkpoint_interval)
+    : plan_(std::move(plan)), state_(1, 1) {
+  QFAB_CHECK(plan_ != nullptr);
+  QFAB_CHECK(checkpoint_interval >= 1);
+  boundaries_ = pass_boundaries(*plan_, checkpoint_interval);
+  state_ = initial_lanes(*plan_, initials);
+}
+
+std::size_t BatchedCleanPass::checkpoint_before(std::size_t gate_count) const {
+  return boundary_before(boundaries_, gate_count);
+}
+
+const BatchedStateVector& BatchedCleanPass::advance_to(std::size_t k) {
+  QFAB_CHECK_MSG(k >= k_ && k < boundaries_.size(),
+                 "clean pass cannot move from boundary " << k_ << " to " << k);
+  for (; k_ < k; ++k_)
+    apply_plan_range(*plan_, state_, boundaries_[k_], boundaries_[k_ + 1]);
+  return state_;
+}
+
+template <typename Real>
+void BatchedCleanPass::load_states_at(std::size_t gate_count,
+                                      const std::vector<int>& lane_map,
+                                      BatchedStateVectorT<Real>& out) {
+  QFAB_CHECK(gate_count <= plan_->gate_count());
+  const std::size_t k = checkpoint_before(gate_count);
+  load_permuted(*plan_, advance_to(k), boundaries_[k], gate_count, lane_map,
+                out);
+}
+
+template void BatchedCleanPass::load_states_at<double>(
+    std::size_t, const std::vector<int>&, BatchedStateVector&);
+template void BatchedCleanPass::load_states_at<float>(
+    std::size_t, const std::vector<int>&, BatchedStateVectorF&);
+
+void BatchedCleanPass::lane_state_at(int lane, std::size_t gate_count,
+                                     StateVector& out) {
+  QFAB_CHECK(gate_count <= plan_->gate_count());
+  const std::size_t k = checkpoint_before(gate_count);
+  load_lane(*plan_, advance_to(k), boundaries_[k], gate_count, lane, out);
+}
+
+void BatchedCleanPass::finish() { advance_to(boundaries_.size() - 1); }
+
+const BatchedStateVector& BatchedCleanPass::final_states() const {
+  QFAB_CHECK_MSG(finished(), "clean pass read before its final boundary");
+  return state_;
+}
+
+std::vector<double> BatchedCleanPass::lane_ideal_marginal(
+    int lane, const std::vector<int>& qubits) const {
+  return final_states().lane_marginal_probabilities(lane, qubits);
+}
+
+BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
+                                 const std::vector<StateVector>& initials,
+                                 std::size_t checkpoint_interval)
+    : plan_(plan) {
+  BatchedCleanPass pass(std::move(plan), initials, checkpoint_interval);
+  boundaries_ = pass.boundaries();
+  checkpoints_.reserve(boundaries_.size());
+  for (std::size_t k = 0; k < boundaries_.size(); ++k)
+    checkpoints_.push_back(pass.advance_to(k));
 }
 
 StateVector BatchedCleanRun::lane_final_state(int lane) const {
@@ -278,9 +373,7 @@ std::vector<double> BatchedCleanRun::lane_ideal_marginal(
 }
 
 std::size_t BatchedCleanRun::checkpoint_before(std::size_t gate_count) const {
-  const auto it = std::upper_bound(boundaries_.begin(), boundaries_.end(),
-                                   gate_count);
-  return static_cast<std::size_t>(it - boundaries_.begin()) - 1;
+  return boundary_before(boundaries_, gate_count);
 }
 
 StateVector BatchedCleanRun::lane_state_at(int lane,
@@ -292,14 +385,21 @@ StateVector BatchedCleanRun::lane_state_at(int lane,
   return sv;
 }
 
+void BatchedCleanRun::lane_state_at(int lane, std::size_t gate_count,
+                                    StateVector& out) const {
+  QFAB_CHECK(gate_count <= plan_->gate_count());
+  const std::size_t k = checkpoint_before(gate_count);
+  load_lane(*plan_, checkpoints_[k], boundaries_[k], gate_count, lane, out);
+}
+
 template <typename Real>
 void BatchedCleanRun::load_states_at(std::size_t gate_count,
                                      const std::vector<int>& lane_map,
                                      BatchedStateVectorT<Real>& out) const {
   QFAB_CHECK(gate_count <= plan_->gate_count());
   const std::size_t k = checkpoint_before(gate_count);
-  out.assign_permuted(checkpoints_[k], lane_map);
-  apply_plan_range(*plan_, out, boundaries_[k], gate_count);
+  load_permuted(*plan_, checkpoints_[k], boundaries_[k], gate_count, lane_map,
+                out);
 }
 
 template void BatchedCleanRun::load_states_at<double>(

@@ -5,15 +5,25 @@
 // after its gate, matching Qiskit Aer's gate-error composition). Averaging
 // |ψ|² over trajectories reproduces the channel's output distribution.
 //
-// CleanRun caches the ideal evolution with periodic state checkpoints so a
-// trajectory only replays gates from its first error onward — on the
-// paper's circuits that halves the per-trajectory cost on average.
+// A trajectory only replays gates from its first error onward, resuming
+// from a state of the ideal run: on the paper's circuits that halves the
+// per-trajectory cost on average. Three ideal-run forms provide the resume
+// states:
+//
+//  * CleanRun — the scalar reference: one instance, a checkpoint every
+//    `checkpoint_interval` gates, queried in any order.
+//  * BatchedCleanPass — the production form: a group of instances advanced
+//    forward only, keeping one live batched state at its current op-snapped
+//    boundary. A work unit plans every replay group first and runs them in
+//    boundary order as the pass reaches them, so no checkpoint list exists.
+//  * BatchedCleanRun — the same pass with every boundary state stored, for
+//    callers that query out of order (tests, benches, the verify harness).
 //
 // All circuit replay (checkpoint construction, state_at, trajectory
 // resumption) runs through a FusedPlan (sim/fusion.h): segments between
-// checkpoints and error-injection sites execute fused, and the plan's
+// boundaries and error-injection sites execute fused, and the plan's
 // per-gate fallback handles boundaries that land inside a fused op. The
-// plan is shareable across CleanRuns of the same circuit (one compile per
+// plan is shareable across clean runs of the same circuit (one compile per
 // transpiled circuit, not per operand instance).
 #pragma once
 
@@ -150,9 +160,67 @@ void run_trajectory(const CleanRun& clean,
 
 /// The ideal runs of one circuit from up to kMaxLanes *different* initial
 /// states (a group of operand instances), advanced in lockstep through one
-/// shared FusedPlan on the batched engine. Checkpoints are stored batched;
-/// per-lane queries extract a lane and (for state_at) replay the remainder
-/// on the scalar path.
+/// shared FusedPlan on the batched engine, forward only. The pass stops at
+/// op-snapped boundaries at (or just past) every `checkpoint_interval`
+/// gates and keeps only the live state at its current boundary: a replay
+/// group resuming at gate g loads from boundary checkpoint_before(g), so a
+/// work unit that runs its groups in boundary order needs one batched state
+/// instead of a checkpoint list (estimate_unit_clusters in
+/// noise/estimator.h). Loads and advances must not go backwards.
+class BatchedCleanPass {
+ public:
+  BatchedCleanPass(std::shared_ptr<const FusedPlan> plan,
+                   const std::vector<StateVector>& initials,
+                   std::size_t checkpoint_interval = 64);
+
+  int lanes() const { return state_.lanes(); }
+  const FusedPlan& plan() const { return *plan_; }
+  /// boundaries()[k] is the gate count of boundary k: 0 first, the
+  /// circuit's gate count last.
+  const std::vector<std::size_t>& boundaries() const { return boundaries_; }
+  /// Index of the last boundary at or before `gate_count` gates.
+  std::size_t checkpoint_before(std::size_t gate_count) const;
+  /// Index of the boundary the live state is at.
+  std::size_t position() const { return k_; }
+
+  /// Advance the live state to boundary k (k >= position()) and return it.
+  const BatchedStateVector& advance_to(std::size_t k);
+  /// Group replay start states, as BatchedCleanRun::load_states_at: the
+  /// live state advances to checkpoint_before(gate_count), is copied
+  /// lane-permuted into `out`, and the remainder is replayed batched.
+  template <typename Real>
+  void load_states_at(std::size_t gate_count, const std::vector<int>& lane_map,
+                      BatchedStateVectorT<Real>& out);
+  /// One lane's state after `gate_count` gates, written into `out` in
+  /// place: the live state advances to checkpoint_before(gate_count), the
+  /// lane is extracted and the remainder replayed on the scalar path (as
+  /// BatchedCleanRun::lane_state_at).
+  void lane_state_at(int lane, std::size_t gate_count, StateVector& out);
+
+  /// Advance to the final boundary. Afterwards final_states() and
+  /// lane_ideal_marginal() are readable.
+  void finish();
+  bool finished() const { return k_ + 1 == boundaries_.size(); }
+  /// All lanes' final states (lane pending phases not folded in; norms are
+  /// phase-invariant). Requires finished().
+  const BatchedStateVector& final_states() const;
+  /// Ideal output distribution of `qubits` for one lane. Requires
+  /// finished().
+  std::vector<double> lane_ideal_marginal(int lane,
+                                          const std::vector<int>& qubits) const;
+
+ private:
+  std::shared_ptr<const FusedPlan> plan_;
+  std::vector<std::size_t> boundaries_;
+  BatchedStateVector state_;  // the lanes after boundaries_[k_] gates
+  std::size_t k_ = 0;
+};
+
+/// The stored form of BatchedCleanPass: the constructor drives one pass and
+/// keeps every boundary state, so queries may come in any order. Per-lane
+/// queries extract a lane and (for state_at) replay the remainder on the
+/// scalar path. Costs one batched state per boundary; the sweep streams
+/// instead, and the tests, benches and verify harness use this form.
 class BatchedCleanRun {
  public:
   BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
@@ -173,30 +241,30 @@ class BatchedCleanRun {
   /// Ideal output distribution of `qubits` for one lane.
   std::vector<double> lane_ideal_marginal(int lane,
                                           const std::vector<int>& qubits) const;
+  /// Index of the last checkpoint at or before `gate_count` gates.
+  std::size_t checkpoint_before(std::size_t gate_count) const;
   /// Lane's state after the first `gate_count` gates (nearest batched
   /// checkpoint, lane extracted, remainder replayed scalar).
   StateVector lane_state_at(int lane, std::size_t gate_count) const;
+  /// In-place form of lane_state_at: writes into `out`, reusing its
+  /// storage.
+  void lane_state_at(int lane, std::size_t gate_count, StateVector& out) const;
   /// Group replay start states: `out` lane j becomes member lane_map[j]'s
   /// state after `gate_count` gates — nearest checkpoint copied, remainder
   /// replayed batched (fused via subrange plans). Members may repeat, so
-  /// one group can carry several trajectories of the same member. Reuses `out`'s storage across calls. The float32 replay tier
-  /// passes a BatchedStateVectorF: checkpoints stay double (the ideal run
-  /// is always reference precision) and amplitudes are rounded once here,
-  /// then the checkpoint-to-site replay runs at the narrow precision.
+  /// one group can carry several trajectories of the same member. Reuses
+  /// `out`'s storage across calls. The float32 replay tier passes a
+  /// BatchedStateVectorF: checkpoints stay double (the ideal run is always
+  /// reference precision) and amplitudes are rounded once here, then the
+  /// checkpoint-to-site replay runs at the narrow precision.
   template <typename Real>
   void load_states_at(std::size_t gate_count, const std::vector<int>& lane_map,
                       BatchedStateVectorT<Real>& out) const;
 
  private:
-  /// Index of the last checkpoint at or before `gate_count` gates.
-  std::size_t checkpoint_before(std::size_t gate_count) const;
-
   std::shared_ptr<const FusedPlan> plan_;
-  std::size_t interval_;
-  /// Checkpoints land on fused-op boundaries at (or just past) every
-  /// `interval_` gates, so building and resuming from them never splits an
-  /// op. boundaries_[k] is the gate count of checkpoints_[k]; the last
-  /// checkpoint is the final state.
+  /// boundaries_[k] is the gate count of checkpoints_[k] (the pass's
+  /// boundaries); the last checkpoint is the final state.
   std::vector<std::size_t> boundaries_;
   std::vector<BatchedStateVector> checkpoints_;
 };

@@ -252,17 +252,28 @@ void BatchedStateVectorT<Real>::broadcast(const StateVector& sv) {
 }
 
 template <typename Real>
-StateVector BatchedStateVectorT<Real>::lane_state(int lane) const {
+void BatchedStateVectorT<Real>::copy_lane(int lane, cplx* dst) const {
   QFAB_CHECK(lane >= 0 && lane < lanes_);
   const u64 L = static_cast<u64>(lanes_);
   const cplx ph = expi(pending_[static_cast<std::size_t>(lane)]);
-  std::vector<cplx> amps(dim());
-  for (u64 i = 0; i < amps.size(); ++i)
-    amps[i] =
+  for (u64 i = 0; i < dim(); ++i)
+    dst[i] =
         cplx{static_cast<double>(re_[i * L + static_cast<u64>(lane)]),
              static_cast<double>(im_[i * L + static_cast<u64>(lane)])} *
         ph;
+}
+
+template <typename Real>
+StateVector BatchedStateVectorT<Real>::lane_state(int lane) const {
+  std::vector<cplx> amps(dim());
+  copy_lane(lane, amps.data());
   return StateVector::from_amplitudes(std::move(amps));
+}
+
+template <typename Real>
+void BatchedStateVectorT<Real>::lane_state(int lane, StateVector& out) const {
+  out.reset(num_qubits_);
+  copy_lane(lane, out.raw_amplitudes());
 }
 
 template <typename Real>

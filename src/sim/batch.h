@@ -135,6 +135,9 @@ class BatchedStateVectorT {
   void broadcast(const StateVector& sv);
   /// Extract one lane as a StateVector (lane pending phase folded in).
   StateVector lane_state(int lane) const;
+  /// In-place form of lane_state: writes the lane into `out`, reusing its
+  /// storage when the size is unchanged.
+  void lane_state(int lane, StateVector& out) const;
   /// Reload this vector from `src` with lanes permuted: lane j becomes
   /// src lane lane_map[j] (repeats allowed, so several trajectories of one
   /// member can occupy their own lanes). Reuses this vector's storage —
@@ -192,6 +195,9 @@ class BatchedStateVectorT {
  private:
   template <typename OtherReal>
   friend class BatchedStateVectorT;
+
+  /// Write one lane, pending phase folded in, to dst[0, dim()).
+  void copy_lane(int lane, cplx* dst) const;
 
   int num_qubits_ = 0;
   int lanes_ = 1;

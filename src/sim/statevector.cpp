@@ -41,6 +41,15 @@ void StateVector::reset() {
   pending_phase_ = 0.0;
 }
 
+void StateVector::reset(int num_qubits) {
+  QFAB_CHECK_MSG(num_qubits >= 1 && num_qubits <= kMaxQubits,
+                 "unsupported qubit count " << num_qubits);
+  num_qubits_ = num_qubits;
+  amps_.assign(pow2(num_qubits), cplx{0.0, 0.0});
+  amps_[0] = 1.0;
+  pending_phase_ = 0.0;
+}
+
 void StateVector::set_basis_state(u64 value) {
   QFAB_CHECK(value < dim());
   std::fill(amps_.begin(), amps_.end(), cplx{0.0, 0.0});

@@ -35,6 +35,9 @@ class StateVector {
 
   /// Reset to |0...0>.
   void reset();
+  /// Reset to |0...0> on `num_qubits` qubits, reusing the storage when the
+  /// size is unchanged (the in-place state loaders' redimension path).
+  void reset(int num_qubits);
   /// Reset to the computational basis state |value>.
   void set_basis_state(u64 value);
   /// Overwrite the amplitude of |index> (used by noise-free initialization;
