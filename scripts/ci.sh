@@ -187,6 +187,12 @@ print("memory guard: qfm4_fig2 tiny peak_rss_mb %.1f <= %.0f" % (rss, bound_mb))
 }
 
 run_preset plain
+# The fork-timing fabric suite (leases, heartbeats, kill/respawn), five
+# times over next to its scalar twin: a timing flake fails CI here by name
+# instead of passing on a rerun.
+echo "== plain: fabric suite, repeated =="
+(cd build-ci-plain && ctest -R '^test_fabric' -j4 --repeat until-fail:5 \
+  --output-on-failure)
 panel_tiers_smoke
 panel_memory_guard
 echo "== plain: bench_sweep smoke (bounded) =="

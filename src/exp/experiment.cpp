@@ -21,10 +21,8 @@ void throw_if_unhealthy(const std::string& violation, const char* where) {
     throw NumericalHealthError(std::string(where) + ": " + violation);
 }
 
-void check_channel_health(const RunOptions& run,
-                          const std::vector<double>& channel,
+void check_channel_health(const std::vector<double>& channel,
                           const char* where) {
-  if (!run.health_checks) return;
   throw_if_unhealthy(check_probability_simplex(channel, kHealthTol), where);
 }
 
@@ -128,9 +126,8 @@ InstanceContext::InstanceContext(const QuantumCircuit& transpiled,
              run.checkpoint_interval, std::move(plan)),
       output_qubits_(output_qubits(spec)),
       correct_(correct_outputs(spec, inst)) {
-  if (run.health_checks)
-    throw_if_unhealthy(check_norm(clean_.final_state(), kHealthTol),
-                       "clean run final state");
+  throw_if_unhealthy(check_norm(clean_.final_state(), kHealthTol),
+                     "clean run final state");
 }
 
 InstanceOutcome InstanceContext::evaluate(const NoiseModel& noise,
@@ -145,7 +142,7 @@ InstanceOutcome InstanceContext::evaluate(const NoiseModel& noise,
     const EstimatorOptions est{run.error_trajectories};
     std::vector<double> channel =
         estimate_channel_marginal(clean_, errors, output_qubits_, est, rng);
-    check_channel_health(run, channel, "estimated channel");
+    check_channel_health(channel, "estimated channel");
     if (run.readout.enabled()) apply_readout_error(channel, run.readout);
     counts = sample_shot_counts(channel, run.shots, rng);
   }
@@ -169,7 +166,7 @@ std::vector<InstanceOutcome> InstanceContext::evaluate_rates(
   std::vector<InstanceOutcome> outcomes;
   outcomes.reserve(channels.size());
   for (std::size_t r = 0; r < channels.size(); ++r) {
-    check_channel_health(run, channels[r], "shared-cluster channel");
+    check_channel_health(channels[r], "shared-cluster channel");
     if (run.readout.enabled()) apply_readout_error(channels[r], run.readout);
     const std::vector<std::uint64_t> counts =
         sample_shot_counts(channels[r], run.shots, rngs[r]);
@@ -228,9 +225,8 @@ std::vector<std::vector<std::vector<InstanceOutcome>>> InstanceBatch::evaluate(
   BatchedCleanPass pass(plan_, initial_states(), run.checkpoint_interval);
   std::vector<ClusterChannels> channels =
       estimate_unit_clusters(pass, rate_clusters, output_qubits_, opt);
-  if (run.health_checks)
-    throw_if_unhealthy(check_lane_norms(pass.final_states(), kHealthTol),
-                       "batched clean run final states");
+  throw_if_unhealthy(check_lane_norms(pass.final_states(), kHealthTol),
+                     "batched clean run final states");
 
   std::vector<std::vector<std::vector<InstanceOutcome>>> outcomes(
       clusters.size());
@@ -240,7 +236,7 @@ std::vector<std::vector<std::vector<InstanceOutcome>>> InstanceBatch::evaluate(
       outcomes[c][r].reserve(channels[c][r].size());
       for (std::size_t m = 0; m < channels[c][r].size(); ++m) {
         std::vector<double>& channel = channels[c][r][m];
-        check_channel_health(run, channel, "shared-cluster channel");
+        check_channel_health(channel, "shared-cluster channel");
         if (run.readout.enabled()) apply_readout_error(channel, run.readout);
         const std::vector<std::uint64_t> counts =
             sample_shot_counts(channel, run.shots, clusters[c].rngs[r][m]);

@@ -17,9 +17,10 @@ namespace qfab {
 
 enum class Operation { kAdd, kMultiply };
 
-/// Thrown by the numerical health sentinels (RunOptions::health_checks)
-/// when a clean run's norm drifts off 1 or an estimated channel leaves the
-/// probability simplex (NaN/Inf included). Distinct from CheckError so the
+/// Thrown by the numerical health sentinels — cheap checks amortized off
+/// the inner loops, always on — when a clean run's norm drifts off 1 or an
+/// estimated channel leaves the probability simplex (NaN/Inf included),
+/// instead of silently sampling shots from garbage. Distinct from CheckError so the
 /// sweep driver can catch it and retry the work unit on the scalar
 /// non-fused path before declaring the point poisoned.
 class NumericalHealthError : public std::runtime_error {
@@ -108,12 +109,6 @@ struct RunOptions {
   /// (EstimatorOptions::float_drift_budget); also the tolerance the kAuto
   /// policy plans against.
   double float_drift_budget = 1e-3;
-  /// Cheap numerical health sentinels, amortized off the inner loops:
-  /// clean-run norm drift at context construction and a probability-simplex
-  /// check on every estimated channel before shots are drawn. A violation
-  /// throws NumericalHealthError (see above) instead of silently sampling
-  /// from garbage.
-  bool health_checks = true;
   /// Measurement confusion applied to every output bit (extension; the
   /// paper's sweeps use none).
   ReadoutError readout;

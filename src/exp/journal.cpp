@@ -241,7 +241,9 @@ std::uint64_t sweep_fingerprint(const SweepConfig& config,
   // float32 (or auto) run must not resume a double journal or vice versa.
   fp.i64(static_cast<std::int64_t>(run.precision));
   fp.f64(run.float_drift_budget);
-  fp.b(run.health_checks);
+  // Retired health-check toggle (the sentinels are always on); the slot
+  // stays so journals and fabric directories of earlier runs still resume.
+  fp.b(true);
   fp.f64(run.readout.p01);
   fp.f64(run.readout.p10);
   fp.u64(config.seed);

@@ -58,7 +58,7 @@ struct SweepResult {
   std::size_t units_done = 0;
   std::size_t units_restored = 0;
   /// Units whose numerical-health sentinel tripped but whose scalar
-  /// non-fused retry succeeded (see DurableOptions / RunOptions::health_checks).
+  /// non-fused retry succeeded (see DurableOptions and NumericalHealthError).
   std::size_t units_retried = 0;
   /// Human-readable descriptions of persistently poisoned units (sentinel
   /// tripped on the retry too); their failed members count as failures in

@@ -444,42 +444,6 @@ std::vector<Injection> merge_schedule(
   return schedule;
 }
 
-/// Append walk steps covering original gates [gate_begin, gate_end) for
-/// lanes [lane_begin, lane_begin + lane_count), decomposed exactly as
-/// apply_range does: maximal runs of fully covered ops come from the root
-/// plan, and op-interior slices come from its cached subrange plans (a
-/// 1-gate slice compiles to a demoted kGate op, the same per-gate kernel
-/// the per-gate fallback ran, so each lane's decomposition stays bitwise
-/// aligned with the scalar reference replay of its own trajectory). The
-/// subrange plans are owned by the root plan's cache, which outlives the
-/// walk.
-void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
-                        std::size_t gate_end, int lane_begin, int lane_count,
-                        std::vector<BatchWalkStep>& steps) {
-  const auto& ops = plan.ops();
-  std::size_t g = gate_begin;
-  while (g < gate_end) {
-    const std::size_t oi = plan.op_of_gate(g);
-    const FusedOp& op = ops[oi];
-    if (op.gate_begin == g && op.gate_end <= gate_end) {
-      std::size_t oj = oi;
-      while (oj < ops.size() && ops[oj].gate_end <= gate_end) {
-        steps.push_back(
-            BatchWalkStep::op_span_step(&plan, oj, lane_begin, lane_count));
-        ++oj;
-      }
-      g = ops[oj - 1].gate_end;
-    } else {
-      const std::size_t stop = std::min(gate_end, op.gate_end);
-      const FusedPlan& sub = plan.subrange_plan(g, stop);
-      for (std::size_t k = 0; k < sub.op_count(); ++k)
-        steps.push_back(
-            BatchWalkStep::op_span_step(&sub, k, lane_begin, lane_count));
-      g = stop;
-    }
-  }
-}
-
 // Batched counterpart of the QFAB_FAULT nan-at-gate hook in
 // apply_plan_range: the walk replaces the per-split passes, so it takes
 // the (single) charge for the whole replayed range itself.

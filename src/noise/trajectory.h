@@ -21,8 +21,9 @@
 //
 // All circuit replay (checkpoint construction, state_at, trajectory
 // resumption) runs through a FusedPlan (sim/fusion.h): segments between
-// boundaries and error-injection sites execute fused, and the plan's
-// per-gate fallback handles boundaries that land inside a fused op. The
+// boundaries and error-injection sites execute fused, and boundaries that
+// land inside a fused op run the partial slice on its own (per-gate on the
+// scalar path, a cached subrange plan on the batched group walk). The
 // plan is shareable across clean runs of the same circuit (one compile per
 // transpiled circuit, not per operand instance).
 #pragma once
@@ -297,14 +298,16 @@ void run_trajectories_batched(
     std::size_t start_gates,
     const std::vector<std::vector<ErrorEvent>>& lane_events);
 
-/// The pre-walk reference driver: one apply_plan_range pass per distinct
-/// injection site, per-lane Paulis full-width between passes. Same
-/// contract; kept as the equivalence oracle for tests and the
-/// before/after bench comparison (states agree to re-association
+/// The per-split reference driver: one apply_plan_range call per distinct
+/// injection site, per-lane Paulis on the whole plane between calls. Same
+/// contract; kept as the equivalence oracle of the per-lane schedule and
+/// for the before/after bench comparison (states agree to re-association
 /// rounding — it slices every lane at the merged schedule's sites, the
-/// walk only at each lane's own). Its full-vector traffic scales with the
-/// merged schedule length, which is the lane-scaling regression the walk
-/// driver removes.
+/// walk only at each lane's own). apply_plan_range runs on the same group
+/// walk, so this driver does not check the walk's tiling; the scalar
+/// FusedPlan::apply_range is the independent oracle for that. Its traffic
+/// still scales with the merged schedule length (one walk per site),
+/// which is the lane-scaling regression the walk driver removes.
 template <typename Real>
 void run_trajectories_batched_split(
     const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,

@@ -37,9 +37,13 @@ cplx expi(double t) { return {std::cos(t), std::sin(t)}; }
 
 /// One resolved set of batched kernels: a (ISA tier, amplitude precision)
 /// build of the same bodies. One table per precision is selected at
-/// startup, swappable via set_simd_mode(). All kernels take the chunk's
-/// global base row (diagonal key gathers need it), the full lane stride L
-/// and the active lane-group width G <= L.
+/// startup, swappable via set_simd_mode(). Every call is one tile of the
+/// group walk (apply_batch_walk): kernels take the chunk's global base row
+/// (diagonal key gathers and high control bits need it), the full lane
+/// stride L and the active lane-group width G <= L, and are correct at any
+/// qubit span — a coupled qubit at or above the chunk pairs the tile with
+/// its XOR-sibling tile through absolute row offsets, and the walk keeps
+/// that sibling resident.
 template <typename Real>
 struct BatchKernelTable {
   void (*matrix1)(Real*, Real*, u64, u64, u64, u64, int, const cplx*);
@@ -47,15 +51,7 @@ struct BatchKernelTable {
   void (*diag1)(Real*, Real*, u64, u64, u64, u64, int, const cplx*);
   void (*diag)(Real*, Real*, u64, u64, u64, u64, const FusedOp::DiagShift*,
                int, const cplx*);
-  void (*phase_on_bit)(Real*, Real*, u64, u64, u64, u64, int, cplx);
   void (*gate)(Real*, Real*, u64, u64, u64, u64, const Gate&);
-  // Group-walk variants: correct at any qubit span relative to the chunk,
-  // pairing with XOR-sibling tiles through absolute row offsets (the group
-  // walk in apply_batch_walk keeps those tiles resident). Same row bodies
-  // as the contiguous kernels, so results are bitwise identical.
-  void (*matrix1g)(Real*, Real*, u64, u64, u64, u64, int, const cplx*);
-  void (*matrix2g)(Real*, Real*, u64, u64, u64, u64, int, int, const cplx*);
-  void (*gateg)(Real*, Real*, u64, u64, u64, u64, const Gate&);
 };
 
 #define QFAB_RESTRICT __restrict__
@@ -509,26 +505,12 @@ template void BatchedStateVectorT<float>::assign_permuted<float>(
 namespace {
 
 /// Scalar op work routed to the lanes' pending phases exactly once per op
-/// (never per tile): RZ prefactors of passthrough gates and k = 0 diagonal
-/// ops (identity-up-to-phase products).
+/// span (never per tile): RZ prefactors of passthrough gates and k = 0
+/// diagonal ops (identity-up-to-phase products), added to lanes
+/// [lane_begin, lane_begin + lane_count).
 template <typename Real>
 void add_pending(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-                 const FusedOp& op) {
-  if (op.kind == FusedOp::Kind::kGate) {
-    const Gate& gate = plan.circuit().gates()[op.gate_begin];
-    if (gate.kind == GateKind::kRZ)
-      bsv.apply_global_phase(-gate.params[0] / 2);
-  } else if (op.kind == FusedOp::Kind::kDiagonal && op.qubits.empty()) {
-    bsv.apply_global_phase(std::arg(op.phases[0]));
-  }
-}
-
-/// add_pending scoped to a contiguous lane span (walk op steps carry one):
-/// the same per-lane `+=` the full-width overload performs, restricted to
-/// lanes [lane_begin, lane_begin + lane_count).
-template <typename Real>
-void add_pending_span(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-                      const FusedOp& op, int lane_begin, int lane_count) {
+                 const FusedOp& op, int lane_begin, int lane_count) {
   if (op.kind == FusedOp::Kind::kGate) {
     const Gate& gate = plan.circuit().gates()[op.gate_begin];
     if (gate.kind != GateKind::kRZ) return;
@@ -540,6 +522,7 @@ void add_pending_span(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
   }
 }
 
+/// Run one op on one walk tile.
 template <typename Real>
 void apply_chunk(const BatchKernelTable<Real>& K, const FusedPlan& plan,
                  Real* re, Real* im, u64 base, u64 len, u64 L, u64 G,
@@ -568,105 +551,6 @@ void apply_chunk(const BatchKernelTable<Real>& K, const FusedPlan& plan,
     case FusedOp::Kind::kGate:
       K.gate(re, im, base, len, L, G, plan.circuit().gates()[op.gate_begin]);
       return;
-  }
-}
-
-/// Group-walk chunk dispatch for ops whose coupling mask reaches at or
-/// above the tile: routes through the *g kernel variants, which address
-/// the XOR-partner rows absolutely in the sibling tiles the group walk
-/// keeps resident. Diagonal ops never couple rows and stay on the
-/// ordinary global-keyed kernels.
-template <typename Real>
-void apply_chunk_group(const BatchKernelTable<Real>& K, const FusedPlan& plan,
-                       Real* re, Real* im, u64 base, u64 len, u64 L, u64 G,
-                       const FusedOp& op) {
-  switch (op.kind) {
-    case FusedOp::Kind::kMatrix1:
-      if (detail::batch_fault_injection()) {
-        // Emulated kernel regression (see batch.h): one flipped sign.
-        const cplx m[4] = {op.m[0], op.m[1], op.m[2], -op.m[3]};
-        K.matrix1g(re, im, base, len, L, G, op.q0, m);
-        return;
-      }
-      K.matrix1g(re, im, base, len, L, G, op.q0, op.m.data());
-      return;
-    case FusedOp::Kind::kMatrix2:
-      K.matrix2g(re, im, base, len, L, G, op.q0, op.q1, op.m.data());
-      return;
-    case FusedOp::Kind::kDiagonal:
-      apply_chunk(K, plan, re, im, base, len, L, G, op);
-      return;
-    case FusedOp::Kind::kGate:
-      K.gateg(re, im, base, len, L, G, plan.circuit().gates()[op.gate_begin]);
-      return;
-  }
-}
-
-/// Apply whole ops [op_lo, op_hi), cache-blocked lane-aware:
-///
-///  - Runs of tile-eligible ops execute as full-width amp-tile blocks, ops
-///    inner, with the tile height shrunk so 2^tb rows × L lanes × 2 planes
-///    stays on the scalar path's 2^tile_bits-amplitude (32 KiB) L1 budget
-///    at every (L, precision). One tile of rows takes the whole run before
-///    the next tile streams in.
-///
-///  - Wide (non-eligible) ops execute as plain full-width passes.
-///
-/// Both always cover all L lanes of a row at once: lanes are interleaved,
-/// so any lane-subset pass is strided (touch part of a row, skip the
-/// rest), and measurement showed that costs ~2x at batch=16 double — the
-/// adjacent-line prefetch pulls the skipped lanes anyway, doubling the
-/// effective traffic. Contiguous full-width streaming is what keeps
-/// ms/lane flat from batch=4 through batch=16.
-template <typename Real>
-void apply_ops_batched(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-                       std::size_t op_lo, std::size_t op_hi) {
-  const BatchKernelTable<Real>& K = active_table<Real>();
-  const auto& ops = plan.ops();
-  Real* re = bsv.re();
-  Real* im = bsv.im();
-  const u64 L = static_cast<u64>(bsv.lanes());
-  const u64 n = bsv.dim();
-  const int tb = batched_tile_rows_log2(plan.options(), bsv.lanes(),
-                                        bsv.num_qubits(), sizeof(Real));
-  const u64 tile = u64{1} << tb;
-
-  std::size_t i = op_lo;
-  while (i < op_hi) {
-    if (plan.op_tile_eligible(i, tb)) {
-      std::size_t j = i;
-      while (j < op_hi && plan.op_tile_eligible(j, tb)) ++j;
-      for (std::size_t k = i; k < j; ++k) add_pending(plan, bsv, ops[k]);
-      for (u64 base = 0; base < n; base += tile)
-        for (std::size_t k = i; k < j; ++k)
-          apply_chunk(K, plan, re + base * L, im + base * L, base, tile, L, L,
-                      ops[k]);
-      i = j;
-    } else {
-      std::size_t j = i;
-      while (j < op_hi && !plan.op_tile_eligible(j, tb)) ++j;
-      for (std::size_t k = i; k < j; ++k) add_pending(plan, bsv, ops[k]);
-      for (std::size_t k = i; k < j; ++k)
-        apply_chunk(K, plan, re, im, 0, n, L, L, ops[k]);
-      i = j;
-    }
-  }
-}
-
-/// Batched per-gate fallback for partially covered ops.
-template <typename Real>
-void apply_gates_batched(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-                         std::size_t gate_begin, std::size_t gate_end) {
-  const BatchKernelTable<Real>& K = active_table<Real>();
-  Real* re = bsv.re();
-  Real* im = bsv.im();
-  const u64 L = static_cast<u64>(bsv.lanes());
-  const u64 n = bsv.dim();
-  for (std::size_t g = gate_begin; g < gate_end; ++g) {
-    const Gate& gate = plan.circuit().gates()[g];
-    if (gate.kind == GateKind::kRZ)
-      bsv.apply_global_phase(-gate.params[0] / 2);
-    K.gate(re, im, 0, n, L, L, gate);
   }
 }
 
@@ -767,12 +651,37 @@ void maybe_inject_nan(BatchedStateVectorT<Real>& bsv, std::size_t gate_begin,
 
 }  // namespace
 
+void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
+                        std::size_t gate_end, int lane_begin, int lane_count,
+                        std::vector<BatchWalkStep>& steps) {
+  const auto& ops = plan.ops();
+  std::size_t g = gate_begin;
+  while (g < gate_end) {
+    const std::size_t oi = plan.op_of_gate(g);
+    const FusedOp& op = ops[oi];
+    if (op.gate_begin == g && op.gate_end <= gate_end) {
+      std::size_t oj = oi;
+      while (oj < ops.size() && ops[oj].gate_end <= gate_end) {
+        steps.push_back(
+            BatchWalkStep::op_span_step(&plan, oj, lane_begin, lane_count));
+        ++oj;
+      }
+      g = ops[oj - 1].gate_end;
+    } else {
+      const std::size_t stop = std::min(gate_end, op.gate_end);
+      const FusedPlan& sub = plan.subrange_plan(g, stop);
+      for (std::size_t k = 0; k < sub.op_count(); ++k)
+        steps.push_back(
+            BatchWalkStep::op_span_step(&sub, k, lane_begin, lane_count));
+      g = stop;
+    }
+  }
+}
+
 template <typename Real>
 void apply_plan(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv) {
-  QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
-  apply_ops_batched(plan, bsv, 0, plan.op_count());
+  apply_plan_range(plan, bsv, 0, plan.gate_count());
   bsv.apply_global_phase(plan.circuit().global_phase());
-  maybe_inject_nan(bsv, 0, plan.gate_count());
 }
 
 template <typename Real>
@@ -780,33 +689,9 @@ void apply_plan_range(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       std::size_t gate_begin, std::size_t gate_end) {
   QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
   QFAB_CHECK(gate_begin <= gate_end && gate_end <= plan.gate_count());
-  const auto& ops = plan.ops();
-  std::size_t g = gate_begin;
-  while (g < gate_end) {
-    const std::size_t oi = plan.op_of_gate(g);
-    const FusedOp& op = ops[oi];
-    if (op.gate_begin == g && op.gate_end <= gate_end) {
-      // Maximal run of fully covered ops, executed fused (cache-blocked).
-      std::size_t oj = oi;
-      while (oj < ops.size() && ops[oj].gate_end <= gate_end) ++oj;
-      apply_ops_batched(plan, bsv, oi, oj);
-      g = ops[oj - 1].gate_end;
-    } else {
-      // The split lands inside this op (per-lane noise injection can split
-      // anywhere). Multi-gate slices run through a cached fused plan of
-      // the slice itself — a handful of passes instead of one full pass
-      // per gate, which dominates trajectory replay when a split lands in
-      // a big collapsed diagonal.
-      const std::size_t stop = std::min(gate_end, op.gate_end);
-      if (stop - g >= 2) {
-        const FusedPlan& sub = plan.subrange_plan(g, stop);
-        apply_ops_batched(sub, bsv, 0, sub.op_count());
-      } else {
-        apply_gates_batched(plan, bsv, g, stop);
-      }
-      g = stop;
-    }
-  }
+  std::vector<BatchWalkStep> steps;
+  append_range_steps(plan, gate_begin, gate_end, 0, bsv.lanes(), steps);
+  apply_batch_walk(plan, bsv, steps.data(), steps.size());
   maybe_inject_nan(bsv, gate_begin, gate_end);
 }
 
@@ -850,10 +735,8 @@ void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
   // high-coupling steps address their partner rows absolutely in those
   // siblings. The cap bounds the co-resident set to 8 tiles (L2-sized at
   // the L1 tile budget); a run ends only when admitting the next step
-  // would push |B| past it, which replaces the old per-step full-width
-  // fallback — the measured cause of the batch=16 lane-scaling inversion,
-  // since every injection split used to shed high-qubit sub-ops that broke
-  // the walk into full-vector passes.
+  // would push |B| past it. Ops couple at most two qubits and Paulis one,
+  // so every single step fits the cap and every run is non-empty.
   constexpr int kGroupBitsCap = 3;
 
   const auto coupling_high = [&](const BatchWalkStep& s) -> u64 {
@@ -874,36 +757,21 @@ void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
       B = nb;
       ++j;
     }
+    QFAB_CHECK_MSG(j > i, "walk step couples more than "
+                              << kGroupBitsCap << " qubits above the tile");
     // Lane span of an op step: [sb, sb + sc) columns of every row.
     const auto span_of = [&](const BatchWalkStep& s, int& sb, int& sc) {
       sb = s.lane_begin;
       sc = s.lane_count < 0 ? bsv.lanes() - sb : s.lane_count;
     };
-    if (j == i) {
-      // Lone step with more high coupling bits than the cap (cannot occur
-      // with today's ops, which couple at most two qubits): full width.
-      const BatchWalkStep& s = steps[i];
-      if (s.plan != nullptr) {
-        int sb, sc;
-        span_of(s, sb, sc);
-        const FusedOp& op = s.plan->ops()[s.op];
-        add_pending_span(*s.plan, bsv, op, sb, sc);
-        apply_chunk(K, *s.plan, re + sb, im + sb, 0, n, L,
-                    static_cast<u64>(sc), op);
-      } else {
-        bsv.apply_pauli(s.lane, s.pauli, s.qubit);
-      }
-      ++i;
-      continue;
-    }
     // Pending phases land once per op span in step order (never per
     // tile), matching the per-lane schedule's accumulation sequence.
     for (std::size_t k = i; k < j; ++k)
       if (steps[k].plan != nullptr) {
         int sb, sc;
         span_of(steps[k], sb, sc);
-        add_pending_span(*steps[k].plan, bsv,
-                         steps[k].plan->ops()[steps[k].op], sb, sc);
+        add_pending(*steps[k].plan, bsv, steps[k].plan->ops()[steps[k].op],
+                    sb, sc);
       }
     // Tile-base offsets of the group: every subset of B.
     u64 bits[kGroupBitsCap];
@@ -928,17 +796,8 @@ void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
           Real* tre = re + tbase * L + sb;
           Real* tim = im + tbase * L + sb;
           if (s.plan != nullptr) {
-            const FusedOp& op = s.plan->ops()[s.op];
-            // Group kernels whenever ANY op qubit is above the tile — not
-            // just coupled ones: a high CX control never pairs rows across
-            // tiles (so it adds nothing to B) but still overruns the plain
-            // in-chunk kernel's index space.
-            if (op.kind != FusedOp::Kind::kDiagonal && op.max_qubit >= tb)
-              apply_chunk_group(K, *s.plan, tre, tim, tbase, tile, L,
-                                static_cast<u64>(sc), op);
-            else
-              apply_chunk(K, *s.plan, tre, tim, tbase, tile, L,
-                          static_cast<u64>(sc), op);
+            apply_chunk(K, *s.plan, tre, tim, tbase, tile, L,
+                        static_cast<u64>(sc), s.plan->ops()[s.op]);
           } else {
             apply_pauli_rows(tre - sb, tim - sb, tbase, tile, L, s.lane,
                              s.pauli, s.qubit);

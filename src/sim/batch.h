@@ -42,14 +42,16 @@
 // split-point protocol, then batched execution resumes. See
 // noise/trajectory.h for the batched trajectory driver built on top.
 //
-// Cache blocking: the fused-op apply loop executes runs of tile-eligible
-// ops as full-width amp-tile blocks whose height shrinks with lanes ×
-// sizeof(Real) so a tile is always L1-sized; wide ops stream plain
-// full-width passes (see apply_ops_batched in batch.cpp — lane-subset
-// passes measured slower, since the interleaved layout makes them
-// strided). Diagonal ops are tile-eligible at any qubit span because
-// their phase-key gather needs only the global row index, which the tile
-// walk supplies.
+// Cache blocking: one driver, the group walk (apply_batch_walk), runs
+// every batched plan segment — the clean pass, resume loads and trajectory
+// replay. Its tiles are full-lane amp-row blocks whose height shrinks with
+// lanes × sizeof(Real) so a tile is always L1-sized; an op coupling a
+// qubit above the tile walks the tile together with its XOR-sibling tiles
+// instead of streaming a full-width pass. Tiles always cover whole rows
+// of the lane span: lane-subset passes measured slower, since the
+// interleaved layout makes them strided. Diagonal ops need no siblings at
+// any qubit span because their phase-key gather needs only the global
+// row index, which the walk supplies.
 #pragma once
 
 #include <cstddef>
@@ -221,8 +223,9 @@ void apply_plan(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv);
 
 /// Apply original gates [gate_begin, gate_end) to every lane; global phase
 /// NOT applied (mirrors FusedPlan::apply_range). Boundaries may fall inside
-/// fused ops — partially covered gates run on batched per-gate kernels — so
-/// per-lane noise injection can split anywhere.
+/// fused ops — the partial slice runs as the root plan's cached subrange
+/// plan (append_range_steps) — so per-lane noise injection can split
+/// anywhere. Executes as one group walk over the range.
 template <typename Real>
 void apply_plan_range(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       std::size_t gate_begin, std::size_t gate_end);
@@ -236,11 +239,10 @@ extern template void apply_plan_range<float>(const FusedPlan&,
                                              BatchedStateVectorF&, std::size_t,
                                              std::size_t);
 
-/// Rows-per-tile exponent of the lane-aware cache blocking at `lanes`
+/// Rows-per-tile exponent of the group walk (apply_batch_walk) at `lanes`
 /// lanes of `real_size`-byte amplitudes: 2^result rows × lanes × 2 planes
 /// matches the scalar path's 2^tile_bits-amplitude L1 budget, clamped to
-/// [4, num_qubits]. Shared by apply_ops_batched and apply_batch_walk so
-/// walk-step eligibility agrees with the plan apply loop.
+/// [4, num_qubits]. Qubits at or above it couple XOR-sibling tiles.
 int batched_tile_rows_log2(const FusionOptions& options, int lanes,
                            int num_qubits, std::size_t real_size);
 
@@ -290,14 +292,16 @@ struct BatchWalkStep {
   }
 };
 
-/// Execute a fused trajectory walk: maximal runs of steps whose high
-/// coupling bits fit the XOR-group cap load each L1-sized amplitude tile
+/// Execute a fused walk — the one batched driver behind apply_plan,
+/// apply_plan_range and the trajectory drivers: maximal runs of steps
+/// whose high coupling bits fit the XOR-group cap (3 bits; ops couple at
+/// most two qubits, so every step fits) load each L1-sized amplitude tile
 /// (plus its coupled sibling tiles) once and apply the whole interleaved
 /// sequence — op spans and lane Paulis alike — to it before the next
 /// group streams in, so a replay's memory traffic no longer multiplies
-/// with the number of injection sites. High-qubit ops run through the
-/// group kernel variants, which address partner rows absolutely in the
-/// co-resident siblings instead of forcing a full-width pass.
+/// with the number of injection sites. Every kernel call is one tile;
+/// high-qubit ops address partner rows absolutely in the co-resident
+/// siblings instead of forcing a full-width pass.
 ///
 /// Within one lane, per-amplitude arithmetic, kernel selection, and
 /// pending-phase accumulation order are exactly those of the step
@@ -319,5 +323,17 @@ extern template void apply_batch_walk<float>(const FusedPlan&,
                                              BatchedStateVectorF&,
                                              const BatchWalkStep*,
                                              std::size_t);
+
+/// Append walk steps covering original gates [gate_begin, gate_end) for
+/// lanes [lane_begin, lane_begin + lane_count), decomposed exactly as
+/// FusedPlan::apply_range does: maximal runs of fully covered ops come from
+/// the root plan, and op-interior slices come from its cached subrange
+/// plans (a 1-gate slice compiles to a demoted kGate op, the per-gate
+/// kernel), so each lane's decomposition stays bitwise aligned with the
+/// scalar replay of the same range. The subrange plans are owned by the
+/// root plan's cache, which must outlive the walk.
+void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
+                        std::size_t gate_end, int lane_begin, int lane_count,
+                        std::vector<BatchWalkStep>& steps);
 
 }  // namespace qfab

@@ -663,13 +663,6 @@ const FusedPlan& FusedPlan::subrange_plan(std::size_t gate_begin,
   return *it->second;
 }
 
-bool FusedPlan::op_tile_eligible(std::size_t op_index,
-                                 int tile_rows_log2) const {
-  QFAB_CHECK(op_index < ops_.size());
-  const FusedOp& op = ops_[op_index];
-  return op.kind == FusedOp::Kind::kDiagonal || op.max_qubit < tile_rows_log2;
-}
-
 u64 FusedPlan::op_coupling_mask(std::size_t op_index) const {
   QFAB_CHECK(op_index < ops_.size());
   const FusedOp& op = ops_[op_index];

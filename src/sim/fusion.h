@@ -110,15 +110,6 @@ class FusedPlan {
   /// Index of the op covering original gate `gate_index` (O(1)).
   std::size_t op_of_gate(std::size_t gate_index) const;
 
-  /// Whether op `op_index` may execute on an amplitude tile of
-  /// 2^tile_rows_log2 rows: diagonal ops tile at ANY qubit span (their
-  /// phase-key gather needs only the global row index, which every tiled
-  /// kernel receives as `base`), everything else must fit the tile. This is
-  /// the single eligibility rule shared by the batched tile loop
-  /// (apply_ops_batched) and the fused trajectory walk (apply_batch_walk),
-  /// so both block the cache identically.
-  bool op_tile_eligible(std::size_t op_index, int tile_rows_log2) const;
-
   /// Bitmask of qubits across which op `op_index` mixes amplitude rows:
   /// row r only ever combines with rows r ^ m for m in the span of this
   /// mask. Diagonal ops (and diagonal kGates) couple nothing; a fused 2x2

@@ -214,29 +214,62 @@ TEST(BatchedEngine, MatchesScalarOnRandomCircuits) {
 
 TEST(BatchedEngine, MatchesScalarWithSmallTiles) {
   // tile_bits below the qubit count exercises the batched multi-tile path
-  // (whose effective tile also shrinks by log2(lanes)).
+  // (whose effective tile also shrinks by log2(lanes)): at every lane count
+  // here the walk's tile is 2^4 rows, so ops on qubits 4 and 5 pair
+  // XOR-sibling tiles. The scalar FusedPlan is the independent oracle of
+  // that tiling, for whole plans in both precisions and for a range split
+  // at a random gate index.
   for_each_simd_mode([](const char* mode) {
     Pcg64 rng(20260805, 13);
     FusionOptions options;
     options.tile_bits = 3;
-    for (int trial = 0; trial < 5; ++trial) {
-      const QuantumCircuit qc = random_circuit(6, 60, rng);
-      const FusedPlan plan(qc, options);
-      const int lanes = 5;
-      BatchedStateVector bsv(6, lanes);
-      std::vector<StateVector> refs;
-      for (int l = 0; l < lanes; ++l) {
-        const auto init = random_state(6, rng);
-        bsv.set_lane(l, StateVector::from_amplitudes(init));
-        refs.push_back(StateVector::from_amplitudes(init));
-        plan.apply(refs.back());
+    for (const int lanes : {1, 5, 16}) {
+      for (int trial = 0; trial < 5; ++trial) {
+        const QuantumCircuit qc = random_circuit(6, 60, rng);
+        const FusedPlan plan(qc, options);
+        const std::size_t split = rng.uniform_int(plan.gate_count() + 1);
+        BatchedStateVector bsv(6, lanes);
+        BatchedStateVectorF bsf(6, lanes);
+        BatchedStateVector split_bsv(6, lanes);
+        std::vector<StateVector> refs, split_refs;
+        for (int l = 0; l < lanes; ++l) {
+          const StateVector init =
+              StateVector::from_amplitudes(random_state(6, rng));
+          bsv.set_lane(l, init);
+          bsf.set_lane(l, init);
+          split_bsv.set_lane(l, init);
+          refs.push_back(init);
+          plan.apply(refs.back());
+          split_refs.push_back(init);
+          plan.apply_range(split_refs.back(), 0, split);
+          plan.apply_range(split_refs.back(), split, plan.gate_count());
+        }
+        apply_plan(plan, bsv);
+        apply_plan(plan, bsf);
+        apply_plan_range(plan, split_bsv, 0, split);
+        apply_plan_range(plan, split_bsv, split, plan.gate_count());
+        StateVector float_lane(6);
+        for (int l = 0; l < lanes; ++l) {
+          const std::vector<cplx>& ref =
+              refs[static_cast<std::size_t>(l)].amplitudes();
+          EXPECT_LT(state_distance(bsv.lane_state(l).amplitudes(), ref), kTol)
+              << mode << " lanes=" << lanes << " trial=" << trial
+              << " lane=" << l;
+          // In-place extraction: a float lane's norm may sit outside the
+          // StateVector construction tolerance.
+          bsf.lane_state(l, float_lane);
+          EXPECT_LT(state_distance(float_lane.amplitudes(), ref), 1e-5)
+              << mode << " float32 lanes=" << lanes << " trial=" << trial
+              << " lane=" << l;
+          EXPECT_LT(
+              state_distance(split_bsv.lane_state(l).amplitudes(),
+                             split_refs[static_cast<std::size_t>(l)]
+                                 .amplitudes()),
+              kTol)
+              << mode << " split=" << split << " lanes=" << lanes
+              << " trial=" << trial << " lane=" << l;
+        }
       }
-      apply_plan(plan, bsv);
-      for (int l = 0; l < lanes; ++l)
-        EXPECT_LT(state_distance(bsv.lane_state(l).amplitudes(),
-                                 refs[static_cast<std::size_t>(l)].amplitudes()),
-                  kTol)
-            << mode << " trial=" << trial << " lane=" << l;
     }
   });
 }

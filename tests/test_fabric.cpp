@@ -54,6 +54,14 @@ SweepConfig fabric_test_config(std::uint64_t seed = 77) {
 
 constexpr std::size_t kUnits = 6;
 
+/// Lease of the fault-injection tests. A healthy worker renews every
+/// lease/4; if it stalls past the whole lease (a loaded host, TSan's
+/// slowdown) the coordinator breaks its lease too and the exact steal
+/// counts below turn into 2. At 2 s a healthy worker must stall 2 s; a
+/// faulted lease still expires in about 2 s, which is what those tests
+/// wait for.
+constexpr double kFaultLease = 2.0;
+
 std::vector<ArithInstance> fabric_test_instances(const SweepConfig& cfg) {
   Pcg64 rng(cfg.seed);
   return generate_instances(cfg.instances, cfg.base.n, cfg.base.n, cfg.orders,
@@ -251,7 +259,7 @@ TEST(Fabric, CrashedWorkerUnitIsReassignedExactlyOnce) {
   // recomputed — the merge must deduplicate exactly one record.
   const std::string dir = tmp_path("crash");
   ASSERT_EQ(spawn_fabric("crash-after-unit=1,fault-worker=0", dir,
-                         /*workers=*/2, /*resume=*/false, 77, /*lease=*/0.5),
+                         /*workers=*/2, /*resume=*/false, 77, kFaultLease),
             0);
   EXPECT_EQ(slurp(dir + ".csv"), reference_csv());
 
@@ -273,7 +281,7 @@ TEST(Fabric, StalledWorkerLeaseExpiresAndUnitIsReassignedOnce) {
   // the lease exactly once, and let the fleet absorb the unit.
   const std::string dir = tmp_path("stall");
   ASSERT_EQ(spawn_fabric("hang-after-unit=0,fault-worker=0", dir,
-                         /*workers=*/2, /*resume=*/false, 77, /*lease=*/0.5),
+                         /*workers=*/2, /*resume=*/false, 77, kFaultLease),
             0);
   EXPECT_EQ(slurp(dir + ".csv"), reference_csv());
 
@@ -296,7 +304,7 @@ TEST(Fabric, LeaseStealDuplicateRecordIsMergedOnce) {
   // recomputed, so two bit-identical records reach the merge.
   const std::string dir = tmp_path("steal");
   ASSERT_EQ(spawn_fabric("lease-steal=1,fault-worker=0", dir,
-                         /*workers=*/2, /*resume=*/false, 77, /*lease=*/0.5),
+                         /*workers=*/2, /*resume=*/false, 77, kFaultLease),
             0);
   EXPECT_EQ(slurp(dir + ".csv"), reference_csv());
 
@@ -314,7 +322,7 @@ TEST(Fabric, ResumeCompletesAfterRespawnBudgetExhausted) {
   // predates the crash survives into the merge.
   const std::string dir = tmp_path("resume");
   ASSERT_EQ(spawn_fabric("crash-after-unit=1,fault-worker=0", dir,
-                         /*workers=*/1, /*resume=*/false, 77, /*lease=*/0.5,
+                         /*workers=*/1, /*resume=*/false, 77, kFaultLease,
                          /*max_respawns=*/0),
             kResumableExitCode);
   const ChildReport first = read_report(dir + ".report");

@@ -281,9 +281,10 @@ TEST(TrajectoryWalk, SitesOnEveryOpBoundary) {
 }
 
 TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
-  // A small tile forces non-diagonal ops on high qubits (and X/Y Paulis
-  // there) through the full-width fallback mid-walk. tile_bits=3 with
-  // 6 qubits puts the tile well under the state size at every lane count.
+  // A small tile puts non-diagonal ops on high qubits (and X/Y Paulis
+  // there) above the tile, so the walk pairs XOR-sibling tiles mid-run.
+  // tile_bits=3 with 6 qubits puts the tile well under the state size at
+  // every lane count.
   FusionOptions options;
   options.tile_bits = 3;
   Pcg64 rng(20260809, 5);
@@ -291,11 +292,12 @@ TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
     for (int trial = 0; trial < 4; ++trial) {
       const QuantumCircuit qc = random_circuit(6, 50, rng);
       const FusedPlan plan(qc, options);
-      // Sanity: the tiny tile actually renders some op non-tileable.
+      // Sanity: the tiny tile actually puts some non-diagonal op above it.
       const int tb = batched_tile_rows_log2(options, lanes, 6, sizeof(double));
       bool any_non_tileable = false;
-      for (std::size_t i = 0; i < plan.op_count(); ++i)
-        if (!plan.op_tile_eligible(i, tb)) any_non_tileable = true;
+      for (const FusedOp& op : plan.ops())
+        if (op.kind != FusedOp::Kind::kDiagonal && op.max_qubit >= tb)
+          any_non_tileable = true;
       ASSERT_TRUE(any_non_tileable);
 
       std::vector<std::vector<ErrorEvent>> lane_events;
