@@ -7,19 +7,16 @@
 // on (T trajectories sampled from the proposal rate, deduplicated, replayed
 // once, and importance-reweighted into every column). Reports the panel
 // wall-clock for both, the speedup, replay counts (per-rate vs unique +
-// fallback), the dedup ratio, ESS statistics, and the max per-point
-// success-rate delta between the two modes. Writes machine-readable
-// BENCH_sweep.json.
+// fallback), the dedup ratio, the ESS-fallback column count, and the max
+// per-point success-rate delta between the two modes. This is the
+// measurement behind the --shared-trajectories knob of the figure benches.
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/cli.h"
-#include "common/host_info.h"
-#include "common/io.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
 #include "exp/instances.h"
@@ -58,52 +55,6 @@ double max_success_delta(const SweepResult& a, const SweepResult& b) {
   return dev;
 }
 
-void write_json(const std::vector<BenchRow>& rows, const SweepConfig& config,
-                const SharedEstimateStats& stats, double stratified_replays,
-                double success_delta, const std::string& path) {
-  std::ostringstream out;
-  const double dedup =
-      stats.proposal_trajectories > 0
-          ? static_cast<double>(stats.unique_trajectories) /
-                static_cast<double>(stats.proposal_trajectories)
-          : 1.0;
-  const double ess_mean =
-      stats.ess_fraction_count > 0
-          ? stats.ess_fraction_sum / static_cast<double>(stats.ess_fraction_count)
-          : 1.0;
-  out << "{\n  \"benchmark\": \"sweep\",\n"
-      << "  \"host\": " << host_info_json(simd_mode_name()) << ",\n"
-      << "  \"panel\": {\"op\": \"qfa\", \"n\": " << config.base.n
-      << ", \"depths\": " << config.depths.size()
-      << ", \"rates\": " << config.rates_percent.size()
-      << ", \"instances\": " << config.instances
-      << ", \"trajectories\": " << config.run.error_trajectories
-      << ", \"shots\": " << config.run.shots
-      << ", \"lanes\": " << config.run.batch_lanes << "},\n"
-      << "  \"max_success_rate_delta\": " << success_delta << ",\n"
-      << "  \"shared_stats\": {"
-      << "\"proposal_trajectories\": " << stats.proposal_trajectories
-      << ", \"unique_trajectories\": " << stats.unique_trajectories
-      << ", \"dedup_ratio\": " << dedup
-      << ", \"fallback_trajectories\": " << stats.fallback_trajectories
-      << ", \"rate_columns\": " << stats.rate_columns
-      << ", \"fallback_columns\": " << stats.fallback_columns
-      << ", \"ess_fraction_min\": " << stats.ess_fraction_min
-      << ", \"ess_fraction_mean\": " << ess_mean
-      << ", \"stratified_replays\": " << stratified_replays << "},\n"
-      << "  \"cases\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const BenchRow& r = rows[i];
-    out << "    {\"mode\": \"" << r.mode << "\""
-        << ", \"panel_ms\": " << r.panel_ms
-        << ", \"replays\": " << r.replays
-        << ", \"speedup_vs_stratified\": " << r.speedup << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  atomic_write_file(path, out.str());
-}
-
 int run(int argc, const char* const* argv) {
   CliFlags flags(argc, argv);
   const int reps = static_cast<int>(flags.get_int("reps", 3));
@@ -111,7 +62,6 @@ int run(int argc, const char* const* argv) {
   const int traj = static_cast<int>(flags.get_int("traj", 12));
   const long shots = flags.get_int("shots", 2048);
   const int lanes = static_cast<int>(flags.get_int("lanes", 8));
-  const std::string out_path = flags.get_string("out", "BENCH_sweep.json");
   if (!flags.validate()) return 1;
 
   SweepConfig config;
@@ -183,9 +133,6 @@ int run(int argc, const char* const* argv) {
             << stats.proposal_trajectories << " unique ("
             << fmt_double(100.0 * dedup, 1) << "%), fallback columns: "
             << stats.fallback_columns << "/" << stats.rate_columns << "\n";
-  write_json(rows, config, stats, stratified_replays, success_delta,
-             out_path);
-  std::cout << "wrote " << out_path << "\n";
   return 0;
 }
 

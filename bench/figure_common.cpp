@@ -69,6 +69,17 @@ bool parse_scale(const CliFlags& flags, FigureScale& scale,
               << ")\n";
     return false;
   }
+  // Refuse combinations the chosen path would silently ignore.
+  if (scale.workers > 1 && scale.unit_deadline_seconds != 0.0) {
+    std::cerr << "--unit-deadline applies to single-process runs only; "
+                 "--workers >= 2 runs the fabric, which has no unit watchdog\n";
+    return false;
+  }
+  if (scale.workers <= 1 && scale.resume && scale.checkpoint.empty()) {
+    std::cerr << "--resume needs --checkpoint on a single-process run; "
+                 "without it there is no journal to resume from\n";
+    return false;
+  }
   return flags.validate();
 }
 

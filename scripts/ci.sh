@@ -6,7 +6,9 @@
 # kernel table): the figure smokes then run the portable table, while the
 # tests that walk the tiers through set_simd_mode() still check the AVX2
 # tables under the instrumented build. The plain preset also checks the
-# figure-panel CSVs of every kernel tier through panelbench.
+# figure-panel CSVs of every kernel tier through panelbench, and judges
+# performance by exact work counters (panel_counters_check), not by
+# timings, so no step depends on a baseline measured on one host.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,51 +98,6 @@ fabric_smoke() {
   echo "== ${name}: fabric smoke: merged CSV matches single-process reference =="
 }
 
-# Bounded batched-throughput smoke against the checked-in baseline: rerun
-# the batch={4,8,16} rows of bench_batch — the end-to-end sweep points AND
-# the "<case>_replay" lane-scaling rows — and fail if any (case, simd,
-# precision, batch) row's inst_per_sec drops more than 30% below
-# results/BENCH_batch.json. The 30% band plus median-of-reps timing
-# absorbs normal scheduler noise; the baseline is host-specific, so set
-# QFAB_SKIP_PERF=1 on other machines.
-perf_smoke() {
-  local name="$1"
-  local builddir="build-ci-${name}"
-  if [[ "${QFAB_SKIP_PERF:-0}" == "1" ]]; then
-    echo "== ${name}: perf smoke skipped (QFAB_SKIP_PERF=1) =="
-    return
-  fi
-  if ! command -v python3 >/dev/null 2>&1; then
-    echo "== ${name}: perf smoke skipped (no python3) =="
-    return
-  fi
-  echo "== ${name}: batched perf smoke (bounded) =="
-  "./${builddir}/bench/bench_batch" --instances 8 --reps 3 --batches 4,8,16 \
-    --out "${builddir}/BENCH_batch_smoke.json" >/dev/null
-  python3 - "${builddir}/BENCH_batch_smoke.json" results/BENCH_batch.json <<'PY'
-import json, sys
-smoke = json.load(open(sys.argv[1]))
-ref = json.load(open(sys.argv[2]))
-key = lambda r: (r["name"], r["simd"], r["precision"], r["batch"])
-ref_rows = {key(r): r for r in ref["cases"]}
-worst = None
-for row in smoke["cases"]:
-    base = ref_rows.get(key(row))
-    if base is None:
-        continue
-    ratio = row["inst_per_sec"] / base["inst_per_sec"]
-    if worst is None or ratio < worst[0]:
-        worst = (ratio, key(row))
-    if ratio < 0.7:
-        sys.exit("perf regression: %s: %.1f inst/sec vs baseline %.1f"
-                 " (%.0f%% drop)" % (key(row), row["inst_per_sec"],
-                                     base["inst_per_sec"], 100 * (1 - ratio)))
-if worst is None:
-    sys.exit("perf smoke: no overlapping rows with the baseline")
-print("perf smoke: worst ratio %.2fx at %s" % worst)
-PY
-}
-
 # Figure CSVs across kernel tiers: panelbench's own self-test, then every
 # workload at tiny scale under the portable and AVX2 tables (the default
 # dispatch also runs inside the self-test). The
@@ -163,6 +120,51 @@ panel_tiers_smoke() {
         --scale tiny --trace 0 --seconds 0 | tail -n 1
     done
   done
+}
+
+# Exact work counters: rerun every panelbench workload traced at its default
+# seed and scale and require each counter in results/panel_counters.json
+# (gates, plan ops, replay lanes, dedup and fallback shares, units, journal
+# bytes per unit) to match exactly. The counters do not depend on the host,
+# its load or the kernel tier, so this performance check needs no baseline
+# per machine. A change that moves a counter on purpose pastes the observed
+# block printed here into the file and says why in CHANGES.md.
+panel_counters_check() {
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "== panelbench counters check skipped (no python3) =="
+    return
+  fi
+  echo "== panelbench: exact work counters =="
+  python3 - results/panel_counters.json <<'PY'
+import json, subprocess, sys
+expected = json.load(open(sys.argv[1]))["workloads"]
+failed = False
+for workload, counters in expected.items():
+    proc = subprocess.run([sys.executable, "panelbench/run.py", "--workload",
+                           workload, "--trace", "1", "--seconds", "0"],
+                          stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.splitlines()
+    if not lines:
+        sys.exit("counters check: %s run failed (exit %d)"
+                 % (workload, proc.returncode))
+    result = json.loads(lines[-1])
+    if proc.returncode != 0 or not result["correct"]:
+        failed = True
+        print("%s: run exited %d, correct=%s"
+              % (workload, proc.returncode, result["correct"]))
+    metrics = result["metrics"]
+    observed = {name: metrics[name]["value"] for name in counters}
+    moved = [name for name in counters if observed[name] != counters[name]]
+    for name in moved:
+        print("counter mismatch: %s %s: expected %r, observed %r"
+              % (workload, name, counters[name], observed[name]))
+    if moved:
+        failed = True
+        print("observed block:\n" + json.dumps({workload: observed}, indent=2))
+    else:
+        print("%s: %d counters match" % (workload, len(counters)))
+sys.exit(1 if failed else 0)
+PY
 }
 
 # Peak-memory guard: the tiny Fig. 2 QFM n=4 panel keeps one live batched
@@ -194,11 +196,11 @@ echo "== plain: fabric suite, repeated =="
 (cd build-ci-plain && ctest -R '^test_fabric' -j4 --repeat until-fail:5 \
   --output-on-failure)
 panel_tiers_smoke
+panel_counters_check
 panel_memory_guard
 echo "== plain: bench_sweep smoke (bounded) =="
 ./build-ci-plain/bench/bench_sweep --instances 4 --traj 6 --shots 256 \
-  --reps 1 --out build-ci-plain/BENCH_sweep_smoke.json
-perf_smoke plain
+  --reps 1
 crash_resume_smoke plain
 fabric_smoke plain
 QFAB_SIMD=scalar run_preset asan -DQFAB_SANITIZE=address

@@ -1,7 +1,6 @@
 #include "common/host_info.h"
 
 #include <fstream>
-#include <sstream>
 
 namespace qfab {
 
@@ -64,30 +63,11 @@ HostInfo probe() {
   return info;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(ch) >= 0x20) out.push_back(ch);
-  }
-  return out;
-}
-
 }  // namespace
 
 const HostInfo& host_info() {
   static const HostInfo info = probe();
   return info;
-}
-
-std::string host_info_json(const std::string& simd_level) {
-  const HostInfo& info = host_info();
-  std::ostringstream out;
-  out << "{\"cpu\": \"" << json_escape(info.cpu_model) << "\", \"simd\": \""
-      << json_escape(simd_level) << "\", \"l2_kib\": " << info.l2_kib
-      << ", \"l3_kib\": " << info.l3_kib << "}";
-  return out.str();
 }
 
 }  // namespace qfab

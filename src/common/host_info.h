@@ -1,7 +1,6 @@
-// Host metadata for the bench JSON writers: checked-in BENCH_*.json results
-// are only comparable against runs on similar hardware, so every writer
-// embeds the CPU model, cache sizes, and the active SIMD dispatch level
-// alongside its measurements.
+// Host metadata for benchmark reports: timings are only comparable between
+// runs on similar hardware, so panelbench (panelbench/src/report.cpp)
+// records the CPU model and cache sizes next to its measurements.
 #pragma once
 
 #include <string>
@@ -16,11 +15,5 @@ struct HostInfo {
 
 /// Probe /proc/cpuinfo and the cpu0 sysfs cache hierarchy once per process.
 const HostInfo& host_info();
-
-/// One-line JSON object for a bench writer's "host" key:
-///   {"cpu": "...", "simd": "<simd_level>", "l2_kib": N, "l3_kib": N}
-/// `simd_level` is passed in (simd_mode_name()) so this header stays below
-/// the sim layer.
-std::string host_info_json(const std::string& simd_level);
 
 }  // namespace qfab

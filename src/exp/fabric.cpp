@@ -407,17 +407,8 @@ int run_sweep_worker(const SweepConfig& config,
 
     UnitResult out = exec.run_unit(claimed);
     if (out.retried) ++retried;
-    const SweepGrid::UnitKey key = grid.key(claimed);
-    JournalRecord rec;
-    rec.type = out.poisoned ? JournalRecord::Type::kPoisoned
-                            : JournalRecord::Type::kUnit;
-    rec.depth_index = static_cast<std::uint32_t>(key.depth_index);
-    rec.block_begin = static_cast<std::uint32_t>(key.block_begin);
-    rec.block_end = static_cast<std::uint32_t>(key.block_end);
-    rec.outcomes = std::move(out.outcomes);
-    rec.stats = out.stats;
-    rec.error = out.error;
-    shard.append(rec);  // fsync'd; crash faults fire in here
+    // fsync'd; crash faults fire in here.
+    shard.append(unit_record(grid.key(claimed), std::move(out)));
     ++journaled;
     // Marker only after the fsync'd append: marker => durable record. The
     // injected-steal path skips it (and the unlink — the lease is not ours

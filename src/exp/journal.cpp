@@ -202,6 +202,19 @@ struct Fingerprint {
 
 }  // namespace
 
+JournalRecord unit_record(const SweepGrid::UnitKey& key, UnitResult&& out) {
+  JournalRecord rec;
+  rec.type = out.poisoned ? JournalRecord::Type::kPoisoned
+                          : JournalRecord::Type::kUnit;
+  rec.depth_index = static_cast<std::uint32_t>(key.depth_index);
+  rec.block_begin = static_cast<std::uint32_t>(key.block_begin);
+  rec.block_end = static_cast<std::uint32_t>(key.block_end);
+  rec.outcomes = std::move(out.outcomes);
+  rec.stats = out.stats;
+  rec.error = std::move(out.error);
+  return rec;
+}
+
 std::uint64_t sweep_fingerprint(const SweepConfig& config,
                                 const std::vector<ArithInstance>& instances) {
   Fingerprint fp;

@@ -67,6 +67,12 @@ struct JournalRecord {
   std::string error;
 };
 
+/// The record both sweep writers journal for computed unit `key`: kPoisoned
+/// when a member failed its retry, else kUnit. Takes over `out`'s outcomes
+/// and error rather than copying them; a writer that still needs the
+/// outcomes reads them from the record.
+JournalRecord unit_record(const SweepGrid::UnitKey& key, UnitResult&& out);
+
 /// Everything read_journal could recover from a journal file.
 struct JournalContents {
   /// Header frame parsed and magic/version matched. False for a missing,

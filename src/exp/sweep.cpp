@@ -42,185 +42,6 @@ NoiseModel noise_at(const SweepConfig& config, double rate_percent) {
   return noise;
 }
 
-/// Immutable per-sweep state shared by every work unit (circuits and fused
-/// plans are compiled once per depth), plus the lazily compiled scalar
-/// non-fused plans that health-sentinel retries fall back to.
-struct SweepContext {
-  SweepContext(const SweepConfig& config_in,
-               const std::vector<ArithInstance>& instances_in)
-      : config(config_in), instances(instances_in) {}
-
-  const SweepConfig& config;
-  const std::vector<ArithInstance>& instances;
-  std::vector<double> rates;
-  std::vector<std::size_t> cluster;  // positive-rate column indices
-  bool use_shared = false;
-  std::vector<QuantumCircuit> circuits;
-  std::vector<std::shared_ptr<const FusedPlan>> plans;
-
-  std::mutex nonfused_mu;
-  std::vector<std::shared_ptr<const FusedPlan>> nonfused;
-
-  /// Compile everything the work units share. Separate from the
-  /// constructor so the context can bind its references first.
-  void prepare() {
-    rates = config.expanded_rates();
-    // The positive-rate columns form one shared-trajectory cluster per
-    // (instance, depth): sampled once from the proposal rate and reweighted
-    // per column. Zero-rate columns (the noise-free cluster) stay on the
-    // per-rate path, which short-circuits to the ideal marginal anyway.
-    for (std::size_t r = 0; r < rates.size(); ++r)
-      if (rates[r] > 0.0) cluster.push_back(r);
-    use_shared = config.run.shared_trajectories && !config.run.per_shot &&
-                 !cluster.empty();
-    // Transpile and compile the execution plan once per depth (cheap next
-    // to simulation, but shared by every instance and trajectory).
-    circuits.reserve(config.depths.size());
-    plans.reserve(config.depths.size());
-    for (int depth : config.depths) {
-      CircuitSpec spec = config.base;
-      spec.depth = depth;
-      circuits.push_back(build_transpiled_circuit(spec));
-      plans.push_back(std::make_shared<const FusedPlan>(circuits.back()));
-    }
-    nonfused.assign(config.depths.size(), nullptr);
-  }
-
-  /// Per-gate (fusion disabled) plan for depth index `d`, compiled on first
-  /// use: retries deliberately avoid the fused kernels in case the fault
-  /// lives there.
-  std::shared_ptr<const FusedPlan> nonfused_plan(std::size_t d) {
-    const std::lock_guard<std::mutex> lock(nonfused_mu);
-    if (!nonfused[d]) {
-      FusionOptions opt;
-      opt.enable = false;
-      nonfused[d] = std::make_shared<const FusedPlan>(circuits[d], opt);
-    }
-    return nonfused[d];
-  }
-};
-
-/// Evaluate one instance on the scalar reference engine (InstanceContext):
-/// all non-shared rate columns per-rate, then the shared cluster. Runs the
-/// single-instance units of per-shot mode and, per member, the
-/// health-sentinel retries.
-void evaluate_member_scalar(SweepContext& sc, std::size_t i, std::size_t d,
-                            std::shared_ptr<const FusedPlan> plan,
-                            UnitResult& out, std::size_t m) {
-  const RunOptions& run = sc.config.run;
-  CircuitSpec spec = sc.config.base;
-  spec.depth = sc.config.depths[d];
-  // One ideal run (with checkpoints) serves every rate cluster.
-  const InstanceContext context(sc.circuits[d], spec, sc.instances[i], run,
-                                std::move(plan));
-  for (std::size_t r = 0; r < sc.rates.size(); ++r) {
-    if (sc.use_shared && sc.rates[r] > 0.0) continue;
-    Pcg64 rng = point_rng(sc.config.seed, i, d, r);
-    out.outcomes[r][m] =
-        context.evaluate(noise_at(sc.config, sc.rates[r]), run, rng);
-  }
-  if (sc.use_shared) {
-    std::vector<NoiseModel> noises;
-    std::vector<Pcg64> rngs;
-    noises.reserve(sc.cluster.size());
-    rngs.reserve(sc.cluster.size());
-    for (std::size_t r : sc.cluster) {
-      noises.push_back(noise_at(sc.config, sc.rates[r]));
-      rngs.push_back(point_rng(sc.config.seed, i, d, r));
-    }
-    const std::vector<InstanceOutcome> results =
-        context.evaluate_rates(noises, run, rngs, &out.stats);
-    for (std::size_t c = 0; c < sc.cluster.size(); ++c)
-      out.outcomes[sc.cluster[c]][m] = results[c];
-  }
-}
-
-/// Production path: the whole instance block [i0, i1) shares one streamed
-/// ideal pass and every rate cluster's trajectories replay pooled across
-/// the block. The shared positive-rate cluster is one cluster; every other
-/// column (the noise-free one, and all columns of a per-rate sweep) is a
-/// single-rate cluster, which the shared estimator evaluates as the pooled
-/// per-rate estimator. All clusters go to one InstanceBatch::evaluate call,
-/// so the unit plans them all, makes one clean pass and keeps one batched
-/// state live. Every point draws from point_rng(seed, i, d, r), so results
-/// do not depend on the grouping.
-void run_unit_batched(SweepContext& sc, std::size_t d, std::size_t i0,
-                      std::size_t i1, UnitResult& out) {
-  const std::vector<ArithInstance> group(sc.instances.begin() + i0,
-                                         sc.instances.begin() + i1);
-  CircuitSpec spec = sc.config.base;
-  spec.depth = sc.config.depths[d];
-  const InstanceBatch batch(sc.circuits[d], spec, group, sc.plans[d]);
-  std::vector<std::vector<std::size_t>> columns;
-  std::vector<InstanceBatch::Cluster> clusters;
-  auto add_cluster = [&](std::vector<std::size_t> cols,
-                         SharedEstimateStats* stats) {
-    InstanceBatch::Cluster c;
-    c.stats = stats;
-    c.rngs.resize(cols.size());
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      c.noises.push_back(noise_at(sc.config, sc.rates[cols[k]]));
-      for (std::size_t m = 0; m < group.size(); ++m)
-        c.rngs[k].push_back(point_rng(sc.config.seed, i0 + m, d, cols[k]));
-    }
-    clusters.push_back(std::move(c));
-    columns.push_back(std::move(cols));
-  };
-  for (std::size_t r = 0; r < sc.rates.size(); ++r)
-    if (!(sc.use_shared && sc.rates[r] > 0.0)) add_cluster({r}, nullptr);
-  if (sc.use_shared) add_cluster(sc.cluster, &out.stats);
-  const std::vector<std::vector<std::vector<InstanceOutcome>>> results =
-      batch.evaluate(clusters, sc.config.run);
-  for (std::size_t c = 0; c < columns.size(); ++c)
-    for (std::size_t k = 0; k < columns[c].size(); ++k)
-      for (std::size_t m = 0; m < group.size(); ++m)
-        out.outcomes[columns[c][k]][m] = results[c][k][m];
-}
-
-/// Run one work unit: instance block [i0, i1) at depth index d, all rate
-/// columns. When a numerical health sentinel trips, retry every member once
-/// on the scalar non-fused path (the most conservative engine in the repo);
-/// members that fail again are recorded as poisoned (outcomes stay
-/// success=false) instead of crashing the sweep.
-UnitResult compute_unit(SweepContext& sc, std::size_t d, std::size_t i0,
-                        std::size_t i1) {
-  const std::size_t members = i1 - i0;
-  UnitResult out;
-  out.outcomes.assign(sc.rates.size(), std::vector<InstanceOutcome>(members));
-  try {
-    if (sc.config.run.per_shot)
-      evaluate_member_scalar(sc, i0, d, sc.plans[d], out, 0);
-    else
-      run_unit_batched(sc, d, i0, i1, out);
-    return out;
-  } catch (const NumericalHealthError& err) {
-    std::cerr << "\n[qfab] numerical health sentinel tripped (depth "
-              << depth_label(sc.config.depths[d]) << ", instances [" << i0
-              << "," << i1 << ")): " << err.what()
-              << "; retrying on the scalar non-fused path\n";
-  }
-  out = UnitResult{};
-  out.outcomes.assign(sc.rates.size(), std::vector<InstanceOutcome>(members));
-  out.retried = true;
-  const std::shared_ptr<const FusedPlan> plan = sc.nonfused_plan(d);
-  for (std::size_t m = 0; m < members; ++m) {
-    try {
-      evaluate_member_scalar(sc, i0 + m, d, plan, out, m);
-    } catch (const NumericalHealthError& err) {
-      out.poisoned = true;
-      std::ostringstream desc;
-      desc << "instance " << (i0 + m) << " at depth "
-           << depth_label(sc.config.depths[d])
-           << " failed the scalar non-fused retry: " << err.what();
-      if (!out.error.empty()) out.error += "; ";
-      out.error += desc.str();
-      for (std::size_t r = 0; r < sc.rates.size(); ++r)
-        out.outcomes[r][m] = InstanceOutcome{};
-    }
-  }
-  return out;
-}
-
 /// Sweep progress, drain display, and the soft-deadline watchdog, all on
 /// one watcher thread owned by run_sweep_durable (no worker-side stderr
 /// writes): workers bump an atomic member counter and register in-flight
@@ -401,21 +222,183 @@ std::size_t SweepGrid::unit_of(std::size_t depth_index,
   return (block_begin / block) * n_depths + depth_index;
 }
 
+/// Everything one sweep's work units share: the owned config and operand
+/// set, the unit grid, the rate clusters, the transpiled circuits and
+/// fused plans (compiled once per depth), plus the lazily compiled scalar
+/// non-fused plans that health-sentinel retries fall back to.
 struct SweepExecution::Impl {
   Impl(const SweepConfig& config_in, std::vector<ArithInstance> instances_in)
       : config(config_in),
         instances(std::move(instances_in)),
         grid(config, instances.size()),
-        sc(config, instances) {
+        rates(config.expanded_rates()) {
     QFAB_CHECK(!config.depths.empty());
     QFAB_CHECK(!instances.empty());
-    sc.prepare();
+    // The positive-rate columns form one shared-trajectory cluster per
+    // (instance, depth): sampled once from the proposal rate and reweighted
+    // per column. Zero-rate columns (the noise-free cluster) stay on the
+    // per-rate path, which short-circuits to the ideal marginal anyway.
+    for (std::size_t r = 0; r < rates.size(); ++r)
+      if (rates[r] > 0.0) cluster.push_back(r);
+    use_shared = config.run.shared_trajectories && !config.run.per_shot &&
+                 !cluster.empty();
+    // Transpile and compile the execution plan once per depth (cheap next
+    // to simulation, but shared by every instance and trajectory).
+    circuits.reserve(config.depths.size());
+    plans.reserve(config.depths.size());
+    for (int depth : config.depths) {
+      CircuitSpec spec = config.base;
+      spec.depth = depth;
+      circuits.push_back(build_transpiled_circuit(spec));
+      plans.push_back(std::make_shared<const FusedPlan>(circuits.back()));
+    }
+    nonfused.assign(config.depths.size(), nullptr);
   }
 
   const SweepConfig config;
   const std::vector<ArithInstance> instances;
   const SweepGrid grid;
-  SweepContext sc;
+  const std::vector<double> rates;
+  std::vector<std::size_t> cluster;  // positive-rate column indices
+  bool use_shared = false;
+  std::vector<QuantumCircuit> circuits;
+  std::vector<std::shared_ptr<const FusedPlan>> plans;
+
+  std::mutex nonfused_mu;
+  std::vector<std::shared_ptr<const FusedPlan>> nonfused;
+
+  /// Per-gate (fusion disabled) plan for depth index `d`, compiled on first
+  /// use: retries deliberately avoid the fused kernels in case the fault
+  /// lives there.
+  std::shared_ptr<const FusedPlan> nonfused_plan(std::size_t d) {
+    const std::lock_guard<std::mutex> lock(nonfused_mu);
+    if (!nonfused[d]) {
+      FusionOptions opt;
+      opt.enable = false;
+      nonfused[d] = std::make_shared<const FusedPlan>(circuits[d], opt);
+    }
+    return nonfused[d];
+  }
+
+  /// Evaluate one instance on the scalar reference engine (InstanceContext):
+  /// all non-shared rate columns per-rate, then the shared cluster. Runs the
+  /// single-instance units of per-shot mode and, per member, the
+  /// health-sentinel retries.
+  void evaluate_member_scalar(std::size_t i, std::size_t d,
+                              std::shared_ptr<const FusedPlan> plan,
+                              UnitResult& out, std::size_t m) {
+    const RunOptions& run = config.run;
+    CircuitSpec spec = config.base;
+    spec.depth = config.depths[d];
+    // One ideal run (with checkpoints) serves every rate cluster.
+    const InstanceContext context(circuits[d], spec, instances[i], run,
+                                  std::move(plan));
+    for (std::size_t r = 0; r < rates.size(); ++r) {
+      if (use_shared && rates[r] > 0.0) continue;
+      Pcg64 rng = point_rng(config.seed, i, d, r);
+      out.outcomes[r][m] =
+          context.evaluate(noise_at(config, rates[r]), run, rng);
+    }
+    if (use_shared) {
+      std::vector<NoiseModel> noises;
+      std::vector<Pcg64> rngs;
+      noises.reserve(cluster.size());
+      rngs.reserve(cluster.size());
+      for (std::size_t r : cluster) {
+        noises.push_back(noise_at(config, rates[r]));
+        rngs.push_back(point_rng(config.seed, i, d, r));
+      }
+      const std::vector<InstanceOutcome> results =
+          context.evaluate_rates(noises, run, rngs, &out.stats);
+      for (std::size_t c = 0; c < cluster.size(); ++c)
+        out.outcomes[cluster[c]][m] = results[c];
+    }
+  }
+
+  /// Production path: the whole instance block [i0, i1) shares one streamed
+  /// ideal pass and every rate cluster's trajectories replay pooled across
+  /// the block. The shared positive-rate cluster is one cluster; every other
+  /// column (the noise-free one, and all columns of a per-rate sweep) is a
+  /// single-rate cluster, which the shared estimator evaluates as the pooled
+  /// per-rate estimator. All clusters go to one InstanceBatch::evaluate call,
+  /// so the unit plans them all, makes one clean pass and keeps one batched
+  /// state live. Every point draws from point_rng(seed, i, d, r), so results
+  /// do not depend on the grouping.
+  void run_unit_batched(std::size_t d, std::size_t i0, std::size_t i1,
+                        UnitResult& out) {
+    const std::vector<ArithInstance> group(instances.begin() + i0,
+                                           instances.begin() + i1);
+    CircuitSpec spec = config.base;
+    spec.depth = config.depths[d];
+    const InstanceBatch batch(circuits[d], spec, group, plans[d]);
+    std::vector<std::vector<std::size_t>> columns;
+    std::vector<InstanceBatch::Cluster> clusters;
+    auto add_cluster = [&](std::vector<std::size_t> cols,
+                           SharedEstimateStats* stats) {
+      InstanceBatch::Cluster c;
+      c.stats = stats;
+      c.rngs.resize(cols.size());
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        c.noises.push_back(noise_at(config, rates[cols[k]]));
+        for (std::size_t m = 0; m < group.size(); ++m)
+          c.rngs[k].push_back(point_rng(config.seed, i0 + m, d, cols[k]));
+      }
+      clusters.push_back(std::move(c));
+      columns.push_back(std::move(cols));
+    };
+    for (std::size_t r = 0; r < rates.size(); ++r)
+      if (!(use_shared && rates[r] > 0.0)) add_cluster({r}, nullptr);
+    if (use_shared) add_cluster(cluster, &out.stats);
+    const std::vector<std::vector<std::vector<InstanceOutcome>>> results =
+        batch.evaluate(clusters, config.run);
+    for (std::size_t c = 0; c < columns.size(); ++c)
+      for (std::size_t k = 0; k < columns[c].size(); ++k)
+        for (std::size_t m = 0; m < group.size(); ++m)
+          out.outcomes[columns[c][k]][m] = results[c][k][m];
+  }
+
+  /// Run one work unit: instance block [i0, i1) at depth index d, all rate
+  /// columns. When a numerical health sentinel trips, retry every member once
+  /// on the scalar non-fused path (the most conservative engine in the repo);
+  /// members that fail again are recorded as poisoned (outcomes stay
+  /// success=false) instead of crashing the sweep.
+  UnitResult compute_unit(std::size_t d, std::size_t i0, std::size_t i1) {
+    const std::size_t members = i1 - i0;
+    UnitResult out;
+    out.outcomes.assign(rates.size(), std::vector<InstanceOutcome>(members));
+    try {
+      if (config.run.per_shot)
+        evaluate_member_scalar(i0, d, plans[d], out, 0);
+      else
+        run_unit_batched(d, i0, i1, out);
+      return out;
+    } catch (const NumericalHealthError& err) {
+      std::cerr << "\n[qfab] numerical health sentinel tripped (depth "
+                << depth_label(config.depths[d]) << ", instances [" << i0
+                << "," << i1 << ")): " << err.what()
+                << "; retrying on the scalar non-fused path\n";
+    }
+    out = UnitResult{};
+    out.outcomes.assign(rates.size(), std::vector<InstanceOutcome>(members));
+    out.retried = true;
+    const std::shared_ptr<const FusedPlan> plan = nonfused_plan(d);
+    for (std::size_t m = 0; m < members; ++m) {
+      try {
+        evaluate_member_scalar(i0 + m, d, plan, out, m);
+      } catch (const NumericalHealthError& err) {
+        out.poisoned = true;
+        std::ostringstream desc;
+        desc << "instance " << (i0 + m) << " at depth "
+             << depth_label(config.depths[d])
+             << " failed the scalar non-fused retry: " << err.what();
+        if (!out.error.empty()) out.error += "; ";
+        out.error += desc.str();
+        for (std::size_t r = 0; r < rates.size(); ++r)
+          out.outcomes[r][m] = InstanceOutcome{};
+      }
+    }
+    return out;
+  }
 };
 
 SweepExecution::SweepExecution(const SweepConfig& config,
@@ -434,7 +417,7 @@ const SweepGrid& SweepExecution::grid() const { return impl_->grid; }
 
 UnitResult SweepExecution::run_unit(std::size_t u) {
   const SweepGrid::UnitKey k = impl_->grid.key(u);
-  return compute_unit(impl_->sc, k.depth_index, k.block_begin, k.block_end);
+  return impl_->compute_unit(k.depth_index, k.block_begin, k.block_end);
 }
 
 SweepAssembler::SweepAssembler(const SweepConfig& config,
@@ -623,17 +606,13 @@ SweepResult run_sweep_durable(const SweepConfig& config,
       if (out.retried) retried.fetch_add(1, std::memory_order_relaxed);
       const std::size_t members = key.block_end - key.block_begin;
       if (journal) {
-        JournalRecord rec;
-        rec.type = out.poisoned ? JournalRecord::Type::kPoisoned
-                                : JournalRecord::Type::kUnit;
-        rec.depth_index = static_cast<std::uint32_t>(key.depth_index);
-        rec.block_begin = static_cast<std::uint32_t>(key.block_begin);
-        rec.block_end = static_cast<std::uint32_t>(key.block_end);
-        rec.outcomes = out.outcomes;  // copy: assembler still needs them
-        rec.stats = out.stats;
-        rec.error = out.error;
-        assembler.add_computed(u, std::move(out));
+        const JournalRecord rec = unit_record(key, std::move(out));
         journal->append(rec);
+        const SweepAssembler::Add added =
+            assembler.add_record(rec.depth_index, rec.block_begin,
+                                 rec.block_end, rec.outcomes, rec.stats,
+                                 rec.error);
+        QFAB_CHECK(added == SweepAssembler::Add::kAdded);
       } else {
         assembler.add_computed(u, std::move(out));
       }

@@ -49,7 +49,8 @@ namespace qfab {
 
 struct FusionOptions {
   /// false compiles every gate as its own op (per-gate kernels through the
-  /// plan machinery) — the A/B baseline used by bench_fusion.
+  /// plan machinery): the health-sentinel retry path of a sweep and the
+  /// per-kernel streams of micro_kernels.
   bool enable = true;
   /// Cap on the qubit count of a fused diagonal op (phase table has 2^k
   /// entries); a diagonal gate that would push a run past the cap starts a

@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,10 +21,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "common/fault.h"
 #include "common/shutdown.h"
+#include "common/stopwatch.h"
 #include "exp/fabric.h"
 #include "exp/journal.h"
 
@@ -374,21 +378,70 @@ TEST(Fabric, InspectAndRepairDamagedShard) {
 
 // ---------------------------------------------------------------------------
 
+/// Longest an initial worker waits for the faulted worker's first claim
+/// before it starts anyway (the test then fails on its counts, not by
+/// hanging).
+constexpr double kHoldCapSeconds = 60.0;
+
+/// True once a lease in fabric `dir` names worker `target`, or any unit
+/// has a done marker.
+bool target_has_claimed(const std::string& dir, long target) {
+  namespace fs = std::filesystem;
+  const std::string tag = " worker=" + std::to_string(target) + " ";
+  std::error_code ec;
+  for (fs::directory_iterator it(dir + "/leases", ec), end;
+       !ec && it != end; it.increment(ec))
+    if (slurp(it->path().string()).find(tag) != std::string::npos)
+      return true;
+  return !fs::is_empty(dir + "/units", ec) && !ec;
+}
+
 int run_fabric_child(const std::string& dir, int workers, bool resume,
                      std::uint64_t seed, double lease, int max_respawns,
                      const std::string& csv, const std::string& report_file) {
   try {
     install_shutdown_latch();
     const SweepConfig cfg = fabric_test_config(seed);
+    const std::vector<ArithInstance> instances = fabric_test_instances(cfg);
     FabricOptions options;
     options.dir = dir;
     options.workers = workers;
     options.resume = resume;
     options.lease_seconds = lease;
     options.max_respawns = max_respawns;
+    // A fault test needs its target worker to hold a unit before the rest
+    // of the fleet can drain the grid, or the injected fault never fires.
+    // So every other initial worker waits for the target's first claim;
+    // respawned workers start at once.
+    int initial_left = workers;
+    const long target = fault::fault_worker();
+    if (target >= 0) {
+      options.spawn = [&](int worker_id) {
+        const bool hold = initial_left-- > 0 && worker_id != target;
+        const pid_t pid = ::fork();
+        QFAB_CHECK(pid >= 0);
+        if (pid != 0) return pid;
+        if (std::getenv("QFAB_THREADS") == nullptr)
+          (void)::setenv("QFAB_THREADS",
+                         std::to_string(std::max(
+                             1u, std::thread::hardware_concurrency() /
+                                     static_cast<unsigned>(workers))).c_str(),
+                         1);
+        const Stopwatch waited;
+        while (hold && !target_has_claimed(dir, target) &&
+               waited.seconds() < kHoldCapSeconds)
+          ::usleep(5000);
+        int code = 1;
+        try {
+          code = run_sweep_worker(cfg, instances, dir, worker_id, lease);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "worker %d failed: %s\n", worker_id, e.what());
+        }
+        std::_Exit(code);
+      };
+    }
     FabricReport report;
-    const SweepResult r =
-        run_sweep_fabric(cfg, fabric_test_instances(cfg), options, &report);
+    const SweepResult r = run_sweep_fabric(cfg, instances, options, &report);
     if (!csv.empty() && r.complete) sweep_csv_table(r).write_csv(csv);
     if (!report_file.empty()) {
       std::ofstream os(report_file);
