@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   CircuitSpec base;
   base.op = Operation::kMultiply;
-  base.n = static_cast<int>(flags.get_int("n", 4));
+  base.n = 4;
 
   std::cout << "=== Fig. 2: QFM success rates (n = " << base.n << ") ===\n"
             << "Reference lines: current IBM hardware ~0.2% (1q), ~1.0% (2q)."

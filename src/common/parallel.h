@@ -5,6 +5,12 @@
 // single-core host (the common CI case for this repo) everything degenerates
 // to a plain serial loop with no thread creation.
 //
+// Production sweeps nest two levels: the sweep runs its work units through
+// one parallel_for_chunked, and a unit whose state is large enough runs its
+// trajectory replay groups through a nested one (estimate_unit_clusters,
+// noise/estimator.h), so threads whose own units are done help the units
+// still running.
+//
 // Completion is tracked *per parallel_for_chunked call*, not pool-wide: the
 // calling thread claims chunks from its own call's cursor alongside the
 // workers and then waits only for that call's outstanding jobs — helping

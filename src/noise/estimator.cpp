@@ -3,15 +3,22 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <thread>
+#include <type_traits>
 #include <unordered_map>
+
+#include "common/parallel.h"
 
 namespace qfab {
 
 namespace {
 
 std::atomic<long> g_precision_fallbacks{0};
+std::atomic<long> g_groups_helped{0};
 
 /// Per-thread replay scratch: the batched state vectors (one per replay
 /// precision), the scalar trajectory state, and the marginal accumulation
@@ -226,7 +233,8 @@ std::vector<double> blend_weighted(const std::vector<double>& ideal, double w0,
 // order of the boundary they resume from, against a stored BatchedCleanRun
 // or a forward-only BatchedCleanPass, and the estimates finish from the
 // marginals it produced. A group's arithmetic depends only on its start
-// state and events, so both sources give bit-identical results.
+// state and events, so both sources give bit-identical results, whichever
+// thread replays each group.
 
 /// One trajectory to queue: the clean-run lane it starts from, its first
 /// error site, and its event list.
@@ -252,6 +260,71 @@ struct ReplayGroup {
   std::size_t slot = 0;  // marginal slot of lane 0; lanes are consecutive
   Precision precision = Precision::kDouble;
   double drift_budget = 0.0;
+};
+
+/// A unit's replay groups fan out to pool threads only when its batched
+/// state has at least this many amplitudes (2^qubits × lanes). Measured on
+/// one unit with three idle workers (DESIGN.md §7): at 2^17 amplitudes and
+/// up, fanning out won every round by 2.5× or more; at 2^11 to 2^15 the
+/// result swung between a small loss and 2.9×. Smaller units also come
+/// many at a time, which leaves no thread idle to help.
+constexpr std::size_t kFanOutFloor = std::size_t{1} << 16;
+
+/// Hands one forward BatchedCleanPass to the replay groups of a unit
+/// running on several threads. Group t of the boundary order takes ticket
+/// t, and only the holder of the next ticket touches the pass: if its
+/// boundary lies ahead, it advances the pass once no earlier group still
+/// reads the current boundary. It then counts itself a reader and passes
+/// the ticket on, so the loads of one boundary run concurrently and the
+/// replays overlap freely. Waiters block; they do not spin. A group that
+/// throws calls fail(), and every waiter bails out.
+class PassTickets {
+ public:
+  explicit PassTickets(BatchedCleanPass& pass) : pass_(pass) {}
+
+  /// Wait for ticket t, bring the pass to boundary k and register a
+  /// reader. Returns false, registering nothing, once a group has failed.
+  bool take(std::size_t t, std::size_t k) {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] {
+      return failed_ ||
+             (next_ == t && (pass_.position() == k || readers_ == 0));
+    });
+    if (failed_) return false;
+    // An advance runs under the lock: no group reads the pass then, and
+    // every later group waits for this ticket anyway.
+    pass_.advance_to(k);
+    ++readers_;
+    ++next_;
+    lock.unlock();
+    cv_.notify_all();
+    return true;
+  }
+
+  /// A registered reader no longer reads the pass.
+  void release() {
+    {
+      std::lock_guard lock(mu_);
+      --readers_;
+    }
+    cv_.notify_all();
+  }
+
+  void fail() {
+    {
+      std::lock_guard lock(mu_);
+      failed_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  BatchedCleanPass& pass_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t next_ = 0;     // the ticket that may use the pass next
+  std::size_t readers_ = 0;  // groups still reading the current boundary
+  bool failed_ = false;
 };
 
 /// The replay groups of one or more planned estimates and the per-lane
@@ -296,42 +369,52 @@ class ReplaySchedule {
     return slots;
   }
 
-  /// Replay every group, in stable order of the boundary it resumes from,
-  /// against `clean` (BatchedCleanRun or BatchedCleanPass).
-  template <typename Source>
-  void run(Source& clean, const std::vector<int>& output_qubits) {
-    std::vector<std::size_t> boundary(groups_.size());
-    for (std::size_t i = 0; i < groups_.size(); ++i)
-      boundary[i] = clean.checkpoint_before(groups_[i].g0);
-    std::vector<std::size_t> order(groups_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return boundary[a] < boundary[b];
-                     });
-    const FusedPlan& plan = clean.plan();
-    const int nq = plan.circuit().num_qubits();
-    ReplayWorkspace& ws = replay_workspace();
+  /// Replay every group against the stored run on the calling thread, in
+  /// stable order of the boundary it resumes from.
+  void run(const BatchedCleanRun& clean,
+           const std::vector<int>& output_qubits) {
     margs_.resize(marginals_);
-    for (std::size_t i : order) {
-      const ReplayGroup& g = groups_[i];
-      const int lanes = static_cast<int>(g.events.size());
-      // One scalar start state per group, shared by a double redo.
-      if (g.load == GroupLoad::kLane)
-        clean.lane_state_at(g.lane_map.front(), g.g0, ws.sv);
-      replay_group_marginals(plan, g.g0, g.events, output_qubits, g.precision,
-                             g.drift_budget, ws, [&](auto& bsv) {
-                               if (g.load == GroupLoad::kLane) {
-                                 bsv.reset(nq, lanes);
-                                 bsv.broadcast(ws.sv);
-                               } else {
-                                 clean.load_states_at(g.g0, g.lane_map, bsv);
-                               }
-                             });
-      for (int j = 0; j < lanes; ++j)
-        margs_[g.slot + static_cast<std::size_t>(j)] =
-            ws.margs[static_cast<std::size_t>(j)];
-    }
+    ReplayWorkspace& ws = replay_workspace();
+    for (const Queued& q : in_boundary_order(clean))
+      replay(clean, groups_[q.group], output_qubits, ws, [] {});
+  }
+
+  /// Replay every group as the forward `pass` reaches its boundary. Idle
+  /// pool threads take groups too, handing the pass on by PassTickets;
+  /// below kFanOutFloor the whole schedule is one grain, which the calling
+  /// thread runs in order.
+  void run(BatchedCleanPass& pass, const std::vector<int>& output_qubits) {
+    const std::vector<Queued> order = in_boundary_order(pass);
+    margs_.resize(marginals_);
+    const std::size_t amplitudes =
+        (std::size_t{1} << pass.plan().circuit().num_qubits()) *
+        static_cast<std::size_t>(pass.lanes());
+    const std::size_t grain = amplitudes < kFanOutFloor ? order.size() : 1;
+    PassTickets tickets(pass);
+    const std::thread::id owner = std::this_thread::get_id();
+    // Chunk size 1: the cursor hands out groups in boundary order, which
+    // is the ticket order, so a claimed group waits only on earlier ones.
+    parallel_for_chunked(
+        0, order.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t t = lo; t < hi; ++t) {
+            try {
+              if (!tickets.take(t, order[t].boundary)) return;
+              bool reading = true;
+              replay(pass, groups_[order[t].group], output_qubits,
+                     replay_workspace(), [&] {
+                       if (reading) tickets.release();
+                       reading = false;
+                     });
+            } catch (...) {
+              tickets.fail();
+              throw;
+            }
+            if (std::this_thread::get_id() != owner)
+              g_groups_helped.fetch_add(1, std::memory_order_relaxed);
+          }
+        },
+        1, grain);
   }
 
   const std::vector<double>& marginal(std::size_t slot) const {
@@ -339,6 +422,60 @@ class ReplaySchedule {
   }
 
  private:
+  struct Queued {
+    std::size_t boundary;  // clean.checkpoint_before(g0) of the group
+    std::size_t group;
+  };
+
+  template <typename Source>
+  std::vector<Queued> in_boundary_order(const Source& clean) const {
+    std::vector<Queued> order(groups_.size());
+    for (std::size_t i = 0; i < groups_.size(); ++i)
+      order[i] = Queued{clean.checkpoint_before(groups_[i].g0), i};
+    std::stable_sort(order.begin(), order.end(),
+                     [](const Queued& a, const Queued& b) {
+                       return a.boundary < b.boundary;
+                     });
+    return order;
+  }
+
+  /// Replay group g from `clean`, which must be at g's boundary, into its
+  /// marginal slots, in workspace `ws`. `done_reading` runs once g no
+  /// longer reads `clean` (it may run again): after the load, except that
+  /// a float32 permuted group keeps reading until its drift check passes,
+  /// because its double redo reloads from the same boundary. A kLane redo
+  /// re-broadcasts ws.sv instead.
+  template <typename Source, typename DoneReading>
+  void replay(const Source& clean, const ReplayGroup& g,
+              const std::vector<int>& output_qubits, ReplayWorkspace& ws,
+              DoneReading&& done_reading) {
+    const FusedPlan& plan = clean.plan();
+    const int nq = plan.circuit().num_qubits();
+    const int lanes = static_cast<int>(g.events.size());
+    // One scalar start state per group, shared by a double redo.
+    if (g.load == GroupLoad::kLane) {
+      clean.lane_state_at(g.lane_map.front(), g.g0, ws.sv);
+      done_reading();
+    }
+    replay_group_marginals(
+        plan, g.g0, g.events, output_qubits, g.precision, g.drift_budget, ws,
+        [&](auto& bsv) {
+          if (g.load == GroupLoad::kLane) {
+            bsv.reset(nq, lanes);
+            bsv.broadcast(ws.sv);
+            return;
+          }
+          clean.load_states_at(g.g0, g.lane_map, bsv);
+          if constexpr (std::is_same_v<std::decay_t<decltype(bsv)>,
+                                       BatchedStateVector>)
+            done_reading();
+        });
+    done_reading();
+    for (int j = 0; j < lanes; ++j)
+      margs_[g.slot + static_cast<std::size_t>(j)] =
+          ws.margs[static_cast<std::size_t>(j)];
+  }
+
   std::vector<ReplayGroup> groups_;
   std::size_t marginals_ = 0;
   std::vector<std::vector<double>> margs_;
@@ -564,6 +701,14 @@ long precision_fallback_count() {
 
 void reset_precision_fallback_count() {
   g_precision_fallbacks.store(0, std::memory_order_relaxed);
+}
+
+long replay_groups_helped() {
+  return g_groups_helped.load(std::memory_order_relaxed);
+}
+
+void reset_replay_groups_helped() {
+  g_groups_helped.store(0, std::memory_order_relaxed);
 }
 
 void SharedEstimateStats::merge(const SharedEstimateStats& other) {

@@ -51,6 +51,13 @@ struct EstimatorOptions {
 long precision_fallback_count();
 void reset_precision_fallback_count();
 
+/// Process-wide count of replay groups that a work unit's streamed pass
+/// (estimate_unit_clusters) handed to another pool thread than the unit's
+/// own. Tests read it to prove the fan-out ran; it depends on thread
+/// timing, so no result may.
+long replay_groups_helped();
+void reset_replay_groups_helped();
+
 struct SharedEstimatorOptions {
   /// Proposal trajectories (conditioned on >= 1 error) shared by the whole
   /// rate cluster.
@@ -156,13 +163,18 @@ struct RateCluster {
 ///     the ESS guard and samples its fallbacks (no amplitudes needed), and
 ///     queues its replay groups;
 ///  2. execute — all groups of the unit run stably sorted by the boundary
-///     they resume from, each started as `pass` reaches that boundary;
+///     they resume from, each started as `pass` reaches that boundary. When
+///     the pass's state is large enough that one group's replay outweighs
+///     a pool wake-up, the groups run on idle pool threads too: they load
+///     from the live pass in boundary order and replay concurrently, each
+///     in its thread's own workspace (DESIGN.md §7);
 ///  3. finish — `pass` runs to its end and every cluster blends from the
 ///     final states' ideal marginals.
 /// Cluster c's result is bit for bit estimate_channel_marginals_shared on a
 /// BatchedCleanRun of the same plan, initial states and interval, with the
-/// same streams; only one batched state is live instead of one per
-/// boundary. `pass` must not have advanced; it is finished on return.
+/// same streams, however many threads replayed it; only one batched state
+/// is live instead of one per boundary. `pass` must not have advanced; it
+/// is finished on return.
 std::vector<ClusterChannels> estimate_unit_clusters(
     BatchedCleanPass& pass, const std::vector<RateCluster>& clusters,
     const std::vector<int>& output_qubits,

@@ -318,26 +318,31 @@ const BatchedStateVector& BatchedCleanPass::advance_to(std::size_t k) {
   return state_;
 }
 
+std::size_t BatchedCleanPass::live_boundary_for(std::size_t gate_count) const {
+  QFAB_CHECK(gate_count <= plan_->gate_count());
+  const std::size_t k = checkpoint_before(gate_count);
+  QFAB_CHECK_MSG(k == k_, "clean pass is at boundary " << k_ << ", load needs "
+                                                        << k);
+  return k;
+}
+
 template <typename Real>
 void BatchedCleanPass::load_states_at(std::size_t gate_count,
                                       const std::vector<int>& lane_map,
-                                      BatchedStateVectorT<Real>& out) {
-  QFAB_CHECK(gate_count <= plan_->gate_count());
-  const std::size_t k = checkpoint_before(gate_count);
-  load_permuted(*plan_, advance_to(k), boundaries_[k], gate_count, lane_map,
-                out);
+                                      BatchedStateVectorT<Real>& out) const {
+  const std::size_t k = live_boundary_for(gate_count);
+  load_permuted(*plan_, state_, boundaries_[k], gate_count, lane_map, out);
 }
 
 template void BatchedCleanPass::load_states_at<double>(
-    std::size_t, const std::vector<int>&, BatchedStateVector&);
+    std::size_t, const std::vector<int>&, BatchedStateVector&) const;
 template void BatchedCleanPass::load_states_at<float>(
-    std::size_t, const std::vector<int>&, BatchedStateVectorF&);
+    std::size_t, const std::vector<int>&, BatchedStateVectorF&) const;
 
 void BatchedCleanPass::lane_state_at(int lane, std::size_t gate_count,
-                                     StateVector& out) {
-  QFAB_CHECK(gate_count <= plan_->gate_count());
-  const std::size_t k = checkpoint_before(gate_count);
-  load_lane(*plan_, advance_to(k), boundaries_[k], gate_count, lane, out);
+                                     StateVector& out) const {
+  const std::size_t k = live_boundary_for(gate_count);
+  load_lane(*plan_, state_, boundaries_[k], gate_count, lane, out);
 }
 
 void BatchedCleanPass::finish() { advance_to(boundaries_.size() - 1); }

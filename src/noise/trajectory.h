@@ -167,7 +167,9 @@ void run_trajectory(const CleanRun& clean,
 /// group resuming at gate g loads from boundary checkpoint_before(g), so a
 /// work unit that runs its groups in boundary order needs one batched state
 /// instead of a checkpoint list (estimate_unit_clusters in
-/// noise/estimator.h). Loads and advances must not go backwards.
+/// noise/estimator.h). The pass only moves forward, and the loads read the
+/// live state without moving it, so several threads may load from one
+/// boundary at once while nobody advances the pass.
 class BatchedCleanPass {
  public:
   BatchedCleanPass(std::shared_ptr<const FusedPlan> plan,
@@ -187,16 +189,16 @@ class BatchedCleanPass {
   /// Advance the live state to boundary k (k >= position()) and return it.
   const BatchedStateVector& advance_to(std::size_t k);
   /// Group replay start states, as BatchedCleanRun::load_states_at: the
-  /// live state advances to checkpoint_before(gate_count), is copied
-  /// lane-permuted into `out`, and the remainder is replayed batched.
+  /// live state, which must already be at checkpoint_before(gate_count), is
+  /// copied lane-permuted into `out` and the remainder is replayed batched.
   template <typename Real>
   void load_states_at(std::size_t gate_count, const std::vector<int>& lane_map,
-                      BatchedStateVectorT<Real>& out);
+                      BatchedStateVectorT<Real>& out) const;
   /// One lane's state after `gate_count` gates, written into `out` in
-  /// place: the live state advances to checkpoint_before(gate_count), the
-  /// lane is extracted and the remainder replayed on the scalar path (as
-  /// BatchedCleanRun::lane_state_at).
-  void lane_state_at(int lane, std::size_t gate_count, StateVector& out);
+  /// place: the lane is extracted from the live state, which must already
+  /// be at checkpoint_before(gate_count), and the remainder is replayed on
+  /// the scalar path (as BatchedCleanRun::lane_state_at).
+  void lane_state_at(int lane, std::size_t gate_count, StateVector& out) const;
 
   /// Advance to the final boundary. Afterwards final_states() and
   /// lane_ideal_marginal() are readable.
@@ -211,6 +213,9 @@ class BatchedCleanPass {
                                           const std::vector<int>& qubits) const;
 
  private:
+  /// checkpoint_before(gate_count), checked to be the live boundary.
+  std::size_t live_boundary_for(std::size_t gate_count) const;
+
   std::shared_ptr<const FusedPlan> plan_;
   std::vector<std::size_t> boundaries_;
   BatchedStateVector state_;  // the lanes after boundaries_[k_] gates

@@ -1,8 +1,9 @@
 // The streamed clean pass: a work unit that plans every rate cluster, runs
 // its replay groups as one forward BatchedCleanPass reaches their boundary
 // and then finishes each cluster must reproduce the stored-checkpoint
-// entry points bit for bit on the same streams, and the pass must refuse
-// to go backwards.
+// entry points bit for bit on the same streams, whether its groups run on
+// the unit's thread alone or fan out to the pool, and the pass must refuse
+// to go backwards or to load away from its live boundary.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,10 +19,10 @@ namespace {
 
 constexpr std::size_t kInterval = 16;
 
-CircuitSpec qfa_spec() {
+CircuitSpec qfa_spec(int n = 4) {
   CircuitSpec spec;
   spec.op = Operation::kAdd;
-  spec.n = 4;
+  spec.n = n;
   return spec;
 }
 
@@ -70,6 +71,9 @@ struct UnitCase {
   double min_ess_fraction;
   double drift_budget;
   bool shared;  // false: every column is its own single-rate cluster
+  // QFA operand width. n = 4 (8 qubits) stays on the unit's thread; n = 7
+  // (14 qubits) at 4 lanes or more fans its groups out to the pool.
+  int n = 4;
 };
 
 /// The unit's clusters as rate lists: the noise-free column alone, then
@@ -88,7 +92,7 @@ std::vector<std::vector<double>> unit_clusters(bool shared) {
 /// Streamed unit vs the stored entry points, on copies of one stream set.
 /// Returns the streamed shared cluster's stats for case-specific checks.
 SharedEstimateStats check_unit(const UnitCase& uc) {
-  const CircuitSpec spec = qfa_spec();
+  const CircuitSpec spec = qfa_spec(uc.n);
   const QuantumCircuit qc = build_transpiled_circuit(spec);
   const auto plan = std::make_shared<const FusedPlan>(qc);
   const std::vector<StateVector> initials = member_states(spec, uc.lanes);
@@ -118,10 +122,15 @@ SharedEstimateStats check_unit(const UnitCase& uc) {
   BatchedCleanPass pass(plan, initials, kInterval);
   EXPECT_GT(pass.boundaries().size(), 4u);
   const long fallbacks_before = precision_fallback_count();
+  const long helped_before = replay_groups_helped();
   const std::vector<ClusterChannels> streamed =
       estimate_unit_clusters(pass, clusters, outq, opt);
   const long streamed_fallbacks = precision_fallback_count() - fallbacks_before;
   EXPECT_TRUE(pass.finished());
+  // Units of the n = 4 circuit are below the fan-out floor.
+  if (uc.n == 4) {
+    EXPECT_EQ(replay_groups_helped(), helped_before);
+  }
 
   // Stored: one BatchedCleanRun queried by each cluster's entry point.
   const BatchedCleanRun clean(plan, initials, kInterval);
@@ -192,6 +201,44 @@ TEST_P(StreamedUnit, PerRateUnitMatchesStoredEntryPoints) {
 
 INSTANTIATE_TEST_SUITE_P(Lanes, StreamedUnit, ::testing::Values(1, 3, 8));
 
+// Units above the fan-out floor: their groups replay on idle pool threads
+// (ctest pins QFAB_THREADS=4 so single-core hosts have a pool too) and must
+// still match the serial stored-run entry points bit for bit, including a
+// float32 group's double redo from its held boundary and the single-lane
+// kLane loads of ESS fallbacks.
+class FannedOutUnit : public ::testing::Test {
+ protected:
+  void SetUp() override { reset_replay_groups_helped(); }
+  void TearDown() override { EXPECT_GT(replay_groups_helped(), 0); }
+
+  static constexpr int kLanes = 4;
+  static constexpr int kN = 7;
+};
+
+TEST_F(FannedOutUnit, DoubleMatchesStoredEntryPoints) {
+  check_unit({kLanes, Precision::kDouble, 0.25, 1e-3, true, kN});
+}
+
+TEST_F(FannedOutUnit, Float32MatchesStoredEntryPoints) {
+  check_unit({kLanes, Precision::kFloat32, 0.25, 1e-3, true, kN});
+}
+
+TEST_F(FannedOutUnit, ForcedFloatReReplayMatchesStoredEntryPoints) {
+  const long before = precision_fallback_count();
+  check_unit({kLanes, Precision::kFloat32, 0.25, 0.0, true, kN});
+  EXPECT_GT(precision_fallback_count(), before);
+}
+
+TEST_F(FannedOutUnit, ForcedEssFallbackMatchesStoredEntryPoints) {
+  const SharedEstimateStats stats =
+      check_unit({kLanes, Precision::kDouble, 1.0, 1e-3, true, kN});
+  EXPECT_GT(stats.fallback_columns, 0);
+}
+
+TEST_F(FannedOutUnit, PerRateUnitMatchesStoredEntryPoints) {
+  check_unit({kLanes, Precision::kDouble, 0.25, 1e-3, false, kN});
+}
+
 class CleanPassTest : public ::testing::Test {
  protected:
   CleanPassTest()
@@ -213,6 +260,7 @@ TEST_F(CleanPassTest, LoadsMatchStoredRunBitwise) {
   for (std::size_t g = 0; g <= plan_->gate_count(); g += 7) {
     SCOPED_TRACE("gate " + std::to_string(g));
     EXPECT_EQ(pass.checkpoint_before(g), clean.checkpoint_before(g));
+    pass.advance_to(pass.checkpoint_before(g));
     pass.load_states_at(g, lane_map, live);
     clean.load_states_at(g, lane_map, stored);
     ASSERT_EQ(live.lanes(), stored.lanes());
@@ -239,12 +287,17 @@ TEST_F(CleanPassTest, LoadsMatchStoredRunBitwise) {
 
 TEST_F(CleanPassTest, OutOfOrderLoadFailsItsCheck) {
   BatchedCleanPass pass(plan_, initials_, kInterval);
-  ASSERT_GT(pass.boundaries().size(), 3u);
+  ASSERT_GT(pass.boundaries().size(), 4u);
   EXPECT_THROW((void)pass.final_states(), CheckError);
   const std::size_t late = pass.boundaries()[2] + 1;
   const std::size_t early = pass.boundaries()[1];
+  const std::size_t ahead = pass.boundaries()[3];
   BatchedStateVector bsv(1, 1);
   StateVector sv(1);
+  // Loads read the live boundary; they never move the pass.
+  EXPECT_THROW(pass.load_states_at(late, {0, 1}, bsv), CheckError);
+  EXPECT_EQ(pass.position(), 0u);
+  pass.advance_to(pass.checkpoint_before(late));
   pass.load_states_at(late, {0, 1}, bsv);
   EXPECT_EQ(pass.position(), 2u);
   // A second group at the same boundary (a float32 re-replay) is fine.
@@ -252,6 +305,9 @@ TEST_F(CleanPassTest, OutOfOrderLoadFailsItsCheck) {
   pass.lane_state_at(0, late, sv);
   EXPECT_THROW(pass.load_states_at(early, {0}, bsv), CheckError);
   EXPECT_THROW(pass.lane_state_at(0, early, sv), CheckError);
+  EXPECT_THROW(pass.load_states_at(ahead, {0}, bsv), CheckError);
+  EXPECT_THROW(pass.lane_state_at(0, ahead, sv), CheckError);
+  EXPECT_EQ(pass.position(), 2u);
   EXPECT_THROW(pass.advance_to(1), CheckError);
   pass.finish();
   EXPECT_THROW(pass.load_states_at(late, {0}, bsv), CheckError);
