@@ -94,8 +94,24 @@ fabric_smoke() {
       "${flags[@]}" --workers 2 --resume --lease 0.5 --dir fab \
       --csv fab >/dev/null 2>&1
     cmp ref.csv fab.csv
+    # Only shard records are fsync'd; leases, done markers and reports are
+    # not. After the crash and the SIGKILLed stall the directory must still
+    # read as fully done, with no live lease and no temp file left behind.
+    ../tools/qfab_journal --fabric fab >inspect.txt
+    if ! grep -Eq '^  units +([0-9]+)/\1 done$' inspect.txt ||
+       ! grep -Eq '^  leases +0 live$' inspect.txt; then
+      echo "fabric smoke: resumed directory is not clean:" >&2
+      cat inspect.txt >&2
+      exit 1
+    fi
+    local stray
+    stray="$(find fab -name '*.tmp.*')"
+    if [[ -n "${stray}" ]]; then
+      echo "fabric smoke: temp files left behind: ${stray}" >&2
+      exit 1
+    fi
   )
-  echo "== ${name}: fabric smoke: merged CSV matches single-process reference =="
+  echo "== ${name}: fabric smoke: merged CSV matches single-process reference, directory clean =="
 }
 
 # Figure CSVs across kernel tiers: panelbench's own self-test, then every

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -13,6 +14,8 @@
 namespace qfab {
 
 namespace {
+
+std::atomic<long> g_fsyncs{0};
 
 /// Directory part of `path` ("." when there is none).
 std::string dir_of(const std::string& path) {
@@ -38,21 +41,20 @@ void fsync_dir(const std::string& dir) {
                                         << std::strerror(errno));
     return;
   }
-  const int rc = ::fsync(fd);
+  const bool ok = fsync_fd(fd);
   const int err = errno;
   (void)::close(fd);
-  if (rc != 0) {
+  if (!ok) {
     QFAB_CHECK_MSG(err == EINVAL || err == ENOTSUP,
                    "fsync of directory " << dir << " failed: "
                                          << std::strerror(err));
   }
 }
 
-}  // namespace
-
-void fsync_parent_dir(const std::string& path) { fsync_dir(dir_of(path)); }
-
-void atomic_write_file(const std::string& path, const std::string& content) {
+/// Write `content` to a temp file next to `path` and rename it over `path`;
+/// `durable` adds the file and directory fsyncs.
+void write_and_rename(const std::string& path, const std::string& content,
+                      bool durable) {
   // The temp file must live in the target directory: rename(2) is only
   // atomic within one filesystem. The pid suffix keeps concurrent writers
   // of different files from colliding; concurrent writers of the *same*
@@ -61,19 +63,8 @@ void atomic_write_file(const std::string& path, const std::string& content) {
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   QFAB_CHECK_MSG(fd >= 0, "cannot open " << tmp << " for writing: "
                                          << std::strerror(errno));
-  std::size_t written = 0;
-  bool ok = true;
-  while (ok && written < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + written,
-                              content.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-    } else {
-      written += static_cast<std::size_t>(n);
-    }
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
+  bool ok = write_all(fd, content.data(), content.size());
+  if (ok && durable && !fsync_fd(fd)) ok = false;
   if (::close(fd) != 0) ok = false;
   if (!ok) {
     const int err = errno;
@@ -87,7 +78,60 @@ void atomic_write_file(const std::string& path, const std::string& content) {
     QFAB_CHECK_MSG(false, "cannot rename " << tmp << " over " << path << ": "
                                            << std::strerror(err));
   }
-  fsync_dir(dir_of(path));
+  if (durable) fsync_dir(dir_of(path));
+}
+
+}  // namespace
+
+bool write_all(int fd, const char* data, std::size_t size) {
+  std::size_t written = 0;
+  while (written < size) {
+    const ssize_t n = ::write(fd, data + written, size - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool fsync_fd(int fd) {
+  g_fsyncs.fetch_add(1, std::memory_order_relaxed);
+  return ::fsync(fd) == 0;
+}
+
+long fsync_count() { return g_fsyncs.load(std::memory_order_relaxed); }
+
+void reset_fsync_count() { g_fsyncs.store(0, std::memory_order_relaxed); }
+
+void fsync_parent_dir(const std::string& path) { fsync_dir(dir_of(path)); }
+
+void atomic_write_file(const std::string& path, const std::string& content) {
+  write_and_rename(path, content, /*durable=*/true);
+}
+
+void replace_file(const std::string& path, const std::string& content) {
+  write_and_rename(path, content, /*durable=*/false);
+}
+
+bool create_file_exclusive(const std::string& path,
+                           const std::string& content) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+  if (fd < 0) {
+    QFAB_CHECK_MSG(errno == EEXIST, "cannot create " << path << ": "
+                                                     << std::strerror(errno));
+    return false;
+  }
+  bool ok = write_all(fd, content.data(), content.size());
+  if (::close(fd) != 0) ok = false;
+  if (!ok) {
+    const int err = errno;
+    (void)::unlink(path.c_str());
+    QFAB_CHECK_MSG(false, "cannot write " << path << ": "
+                                          << std::strerror(err));
+  }
+  return true;
 }
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {

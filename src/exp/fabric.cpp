@@ -1,7 +1,6 @@
 #include "exp/fabric.h"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -76,14 +75,23 @@ void mkdirs(const std::string& path) {
   }
 }
 
-/// Sorted names of the regular entries in `path` (empty when missing).
-std::vector<std::string> list_dir(const std::string& path) {
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// Sorted names of the entries in `path` that end in `suffix` (empty when
+/// the directory is missing). Protocol files are matched by exact suffix:
+/// a `<name>.tmp.<pid>` that a crash left mid-rename is not one of them.
+std::vector<std::string> list_dir(const std::string& path,
+                                  const std::string& suffix) {
   std::vector<std::string> names;
   DIR* d = ::opendir(path.c_str());
   if (d == nullptr) return names;
   while (dirent* e = ::readdir(d)) {
     const std::string name = e->d_name;
-    if (name != "." && name != "..") names.push_back(name);
+    if (name != "." && name != ".." && ends_with(name, suffix))
+      names.push_back(name);
   }
   ::closedir(d);
   std::sort(names.begin(), names.end());
@@ -91,7 +99,7 @@ std::vector<std::string> list_dir(const std::string& path) {
 }
 
 void wipe_dir_files(const std::string& path) {
-  for (const std::string& name : list_dir(path))
+  for (const std::string& name : list_dir(path, ""))
     (void)::unlink((path + "/" + name).c_str());
 }
 
@@ -150,39 +158,11 @@ pid_t lease_holder_pid(const std::string& content) {
   return static_cast<pid_t>(pid);
 }
 
-/// Claim `path` exclusively: O_CREAT|O_EXCL, fsync'd content and directory.
-/// False when another worker holds it.
+/// Claim `path` exclusively (O_CREAT|O_EXCL). False when another worker
+/// holds it. Not fsync'd: every coordinator start wipes leases/, so a
+/// lease only ever coordinates live processes.
 bool try_acquire_lease(const std::string& path, const std::string& identity) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
-  if (fd < 0) {
-    QFAB_CHECK_MSG(errno == EEXIST, "cannot create lease "
-                                        << path << ": "
-                                        << std::strerror(errno));
-    return false;
-  }
-  const std::string content = identity + " beat=0\n";
-  std::size_t written = 0;
-  bool ok = true;
-  while (ok && written < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + written,
-                              content.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-    } else {
-      written += static_cast<std::size_t>(n);
-    }
-  }
-  if (ok && ::fsync(fd) != 0) ok = false;
-  if (::close(fd) != 0) ok = false;
-  if (!ok) {
-    const int err = errno;
-    (void)::unlink(path.c_str());
-    QFAB_CHECK_MSG(false, "cannot write lease " << path << ": "
-                                                << std::strerror(err));
-  }
-  fsync_parent_dir(path);
-  return true;
+  return create_file_exclusive(path, identity + " beat=0\n");
 }
 
 /// Renews the held lease on a background thread so a healthy worker is
@@ -257,8 +237,7 @@ class Heartbeat {
                     long beat) {
     try {
       if (!starts_with(read_file(path), identity)) return false;
-      atomic_write_file(path,
-                        identity + " beat=" + std::to_string(beat) + "\n");
+      replace_file(path, identity + " beat=" + std::to_string(beat) + "\n");
       return true;
     } catch (...) {
       return false;  // treat any renewal failure as a lost lease
@@ -323,7 +302,7 @@ int run_sweep_worker(const SweepConfig& config,
     out << "units=" << journaled << " retried=" << retried
         << " drained=" << (drained ? 1 : 0) << '\n';
     try {
-      atomic_write_file(report_path(dir, worker_id), out.str());
+      replace_file(report_path(dir, worker_id), out.str());
     } catch (...) {
       // The report is advisory; a failed write must not kill the worker.
     }
@@ -364,8 +343,9 @@ int run_sweep_worker(const SweepConfig& config,
     }
     if (claimed == SweepGrid::npos) {
       // Every pending unit is leased elsewhere; wait for done markers to
-      // appear or for the coordinator to break a stale lease.
-      sleep_seconds(0.02);
+      // appear or for the coordinator to break a stale lease. A unit takes
+      // milliseconds, so a coarser poll leaves the fleet's tail idle.
+      sleep_seconds(0.001);
       continue;
     }
     if (file_exists(done_path(dir, claimed))) {
@@ -407,15 +387,18 @@ int run_sweep_worker(const SweepConfig& config,
 
     UnitResult out = exec.run_unit(claimed);
     if (out.retried) ++retried;
-    // fsync'd; crash faults fire in here.
+    // The unit's one fsync; crash faults fire in here.
     shard.append(unit_record(grid.key(claimed), std::move(out)));
     ++journaled;
     // Marker only after the fsync'd append: marker => durable record. The
+    // marker itself needs no fsync: losing it only costs a recompute,
+    // whose duplicate record the merge drops. (A marker that already
+    // exists came from a worker whose lease was broken; it stands.) The
     // injected-steal path skips it (and the unlink — the lease is not ours
     // anymore) so the reassigned worker reliably recomputes the unit and
     // the merge sees a genuine duplicate.
     if (!injected_steal) {
-      atomic_write_file(done_path(dir, claimed), identity + "\n");
+      (void)create_file_exclusive(done_path(dir, claimed), identity + "\n");
       heart.release();
       if (!heart.lost() &&
           starts_with(read_file(lease_path(dir, claimed)), identity))
@@ -474,12 +457,13 @@ SweepResult run_sweep_fabric(const SweepConfig& config,
 
   std::size_t restored = 0;
   if (options.resume)
-    restored = list_dir(units_dir(options.dir)).size();
+    restored = list_dir(units_dir(options.dir), ".done").size();
 
   // Worker ids start above every existing shard index: a resumed or
   // respawned worker must never truncate a predecessor's durable records.
   int next_id = 0;
-  for (const std::string& name : list_dir(shards_dir(options.dir))) {
+  for (const std::string& name :
+       list_dir(shards_dir(options.dir), ".journal")) {
     int id = -1;
     if (std::sscanf(name.c_str(), "shard_%d.journal", &id) == 1)
       next_id = std::max(next_id, id + 1);
@@ -604,7 +588,7 @@ SweepResult run_sweep_fabric(const SweepConfig& config,
 
     // Lease supervision: expire leases whose content stopped changing.
     const std::vector<std::string> lease_files =
-        list_dir(leases_dir(options.dir));
+        list_dir(leases_dir(options.dir), ".lease");
     for (auto it = tracks.begin(); it != tracks.end();) {
       if (std::find(lease_files.begin(), lease_files.end(), it->first) ==
           lease_files.end())
@@ -653,7 +637,8 @@ SweepResult run_sweep_fabric(const SweepConfig& config,
     }
 
     if (options.progress) {
-      const std::size_t done = list_dir(units_dir(options.dir)).size();
+      const std::size_t done =
+          list_dir(units_dir(options.dir), ".done").size();
       if (done != last_progress) {
         last_progress = done;
         std::fprintf(stderr, "\r[qfab-fabric] %zu/%zu units done    ", done,
@@ -672,8 +657,8 @@ SweepResult run_sweep_fabric(const SweepConfig& config,
   // bit for bit.
   SweepAssembler assembler(config, grid);
   std::size_t duplicates = 0;
-  for (const std::string& name : list_dir(shards_dir(options.dir))) {
-    if (name.find(".journal") == std::string::npos) continue;
+  for (const std::string& name :
+       list_dir(shards_dir(options.dir), ".journal")) {
     const std::string path = shards_dir(options.dir) + "/" + name;
     const JournalContents contents = read_journal(path);
     if (!contents.header_ok) {
@@ -713,8 +698,8 @@ SweepResult run_sweep_fabric(const SweepConfig& config,
                  duplicates);
 
   std::size_t retried = 0;
-  for (const std::string& name : list_dir(shards_dir(options.dir))) {
-    if (name.find(".report") == std::string::npos) continue;
+  for (const std::string& name :
+       list_dir(shards_dir(options.dir), ".report")) {
     std::size_t units = 0, r = 0;
     int drained = 0;
     const std::string content =
@@ -737,8 +722,8 @@ FabricStatus inspect_fabric(const std::string& dir) {
     status.n_units =
         static_cast<std::size_t>(manifest_field(manifest, "units"));
   }
-  status.done_markers = list_dir(units_dir(dir)).size();
-  for (const std::string& name : list_dir(leases_dir(dir))) {
+  status.done_markers = list_dir(units_dir(dir), ".done").size();
+  for (const std::string& name : list_dir(leases_dir(dir), ".lease")) {
     FabricLeaseStatus lease;
     lease.file = name;
     std::string content = read_file(leases_dir(dir) + "/" + name);
@@ -746,8 +731,7 @@ FabricStatus inspect_fabric(const std::string& dir) {
     lease.content = content;
     status.leases.push_back(std::move(lease));
   }
-  for (const std::string& name : list_dir(shards_dir(dir))) {
-    if (name.find(".journal") == std::string::npos) continue;
+  for (const std::string& name : list_dir(shards_dir(dir), ".journal")) {
     const JournalContents contents =
         read_journal(shards_dir(dir) + "/" + name);
     FabricShardStatus shard;
@@ -767,8 +751,7 @@ FabricStatus inspect_fabric(const std::string& dir) {
 
 FabricRepair repair_fabric(const std::string& dir) {
   FabricRepair repair;
-  for (const std::string& name : list_dir(shards_dir(dir))) {
-    if (name.find(".journal") == std::string::npos) continue;
+  for (const std::string& name : list_dir(shards_dir(dir), ".journal")) {
     const std::string path = shards_dir(dir) + "/" + name;
     const JournalContents contents = read_journal(path);
     if (!contents.header_ok || !contents.dropped_tail) continue;
@@ -777,7 +760,7 @@ FabricRepair repair_fabric(const std::string& dir) {
     repair.dropped_records += contents.dropped_frames;
     repair.dropped_bytes += contents.dropped_bytes;
   }
-  for (const std::string& name : list_dir(leases_dir(dir))) {
+  for (const std::string& name : list_dir(leases_dir(dir), ".lease")) {
     if (::unlink((leases_dir(dir) + "/" + name).c_str()) == 0)
       ++repair.leases_cleared;
   }

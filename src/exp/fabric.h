@@ -16,20 +16,36 @@
 //                             write; lets inspectors and workers validate
 //                             the directory against their configuration)
 //   leases/u<NNNNNN>.lease    exclusive claim on one work unit, created
-//                             O_CREAT|O_EXCL and fsync'd; content
+//                             with O_CREAT|O_EXCL; content
 //                             "pid=<p> worker=<w> host=<h> beat=<n>",
-//                             rewritten (beat+1) by the holder's heartbeat
-//   units/u<NNNNNN>.done      durable completion marker, written only
-//                             *after* the unit's record is fsync'd into the
-//                             owner's shard journal (marker => record)
+//                             replaced (beat+1) by the holder's heartbeat
+//   units/u<NNNNNN>.done      completion marker, created only *after* the
+//                             unit's record is fsync'd into the owner's
+//                             shard journal (marker => record)
 //   shards/shard_<W>.journal  per-worker checkpoint journal (exp/journal.h
 //                             format, same fingerprint), one per worker
 //                             incarnation — ids never reused, so a
 //                             respawned worker cannot clobber its
 //                             predecessor's durable records
 //   shards/shard_<W>.report   worker progress ("units=<n> retried=<m>
-//                             drained=<0|1>"), atomically rewritten per
+//                             drained=<0|1>"), atomically replaced per
 //                             unit; advisory only
+//
+// Protocol files are matched by exact suffix; a `<name>.tmp.<pid>` left by
+// a crash mid-rename is ignored by every reader.
+//
+// Durability: the shard journals are the only truth a restart reads, and a
+// unit costs exactly one fsync, its record's append (plus one header and
+// one directory fsync per shard). Nothing else is fsync'd, because losing
+// it to power failure costs at most a recompute:
+//
+//   * leases coordinate live processes only — every coordinator start
+//     wipes leases/ before spawning a worker;
+//   * a lost done marker makes the unit look pending, so it is recomputed
+//     and the merge drops the duplicate record; marker => record still
+//     holds, since the record and its shard's directory entry are durable
+//     before the marker is created;
+//   * the report only feeds the merged `retried` count.
 //
 // Protocol invariants:
 //

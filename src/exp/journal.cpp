@@ -171,16 +171,9 @@ std::string frame(const std::string& payload, bool corrupt_crc = false) {
 
 void write_all_fd(int fd, const char* data, std::size_t size,
                   const std::string& path) {
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      QFAB_CHECK_MSG(false, "journal write to " << path << " failed: "
+  QFAB_CHECK_MSG(write_all(fd, data, size), "journal write to "
+                                                << path << " failed: "
                                                 << std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
 }
 
 /// FNV-1a over a growing byte stream — the fingerprint accumulator.
@@ -397,8 +390,11 @@ JournalWriter::JournalWriter(const std::string& path,
   if (fresh) {
     const std::string header = frame(serialize_header(fingerprint));
     write_all_fd(fd_, header.data(), header.size(), path_);
-    QFAB_CHECK_MSG(::fsync(fd_) == 0,
-                   "fsync of journal " << path_ << " failed");
+    QFAB_CHECK_MSG(fsync_fd(fd_), "fsync of journal " << path_ << " failed");
+    // Without a durable directory entry, power loss can drop a new journal
+    // with all its fsync'd records. Once per journal, not per record: the
+    // fabric's unsynced done markers lean on it (marker => record).
+    fsync_parent_dir(path_);
   }
 }
 
@@ -415,18 +411,18 @@ void JournalWriter::append(const JournalRecord& record) {
   if (counts_as_unit && unit == fault::torn_write_unit()) {
     // Simulated crash mid-write: persist only a prefix of the frame.
     write_all_fd(fd_, framed.data(), framed.size() / 2, path_);
-    (void)::fsync(fd_);
+    (void)fsync_fd(fd_);
     fault::crash_now("torn-write");
   }
   if (counts_as_unit && unit == fault::corrupt_crc_unit()) {
     const std::string bad = frame(serialize_record(record), true);
     write_all_fd(fd_, bad.data(), bad.size(), path_);
-    (void)::fsync(fd_);
+    (void)fsync_fd(fd_);
     fault::crash_now("corrupt-crc");
   }
 
   write_all_fd(fd_, framed.data(), framed.size(), path_);
-  QFAB_CHECK_MSG(::fsync(fd_) == 0, "fsync of journal " << path_ << " failed");
+  QFAB_CHECK_MSG(fsync_fd(fd_), "fsync of journal " << path_ << " failed");
   if (!counts_as_unit) return;
   units_appended_ = unit;
   if (unit == fault::crash_after_unit()) fault::crash_now("crash-after-unit");

@@ -117,7 +117,8 @@ void rewrite_journal(const std::string& path, const JournalContents& contents);
 /// granularity: kTimeout markers do not advance the fault unit counter.
 class JournalWriter {
  public:
-  /// `fresh` truncates (or creates) the file and writes a new header;
+  /// `fresh` truncates (or creates) the file and writes a new header,
+  /// fsyncing it and then the directory (the file's one directory fsync);
   /// otherwise the file must already hold a valid header for `fingerprint`
   /// and new records are appended after its current end. A non-fresh open
   /// re-validates the file and *refuses* (CheckError) when a damaged tail

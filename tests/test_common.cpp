@@ -540,6 +540,33 @@ TEST(Io, AtomicWriteFileRejectsUnwritableDirectory) {
   EXPECT_THROW(atomic_write_file("no_such_dir_zzz/out.txt", "x"), CheckError);
 }
 
+TEST(Io, NonDurableWritesPayNoFsync) {
+  const std::string path =
+      "test_common_nondurable_" + std::to_string(static_cast<long>(::getpid()));
+  const auto slurp = [&] {
+    std::ifstream in(path);
+    std::stringstream got;
+    got << in.rdbuf();
+    return got.str();
+  };
+  reset_fsync_count();
+  EXPECT_TRUE(create_file_exclusive(path, "first\n"));
+  EXPECT_FALSE(create_file_exclusive(path, "second\n"));  // already held
+  EXPECT_EQ(slurp(), "first\n");
+  replace_file(path, "third, longer than the first\n");
+  EXPECT_EQ(slurp(), "third, longer than the first\n");
+  EXPECT_FALSE(std::filesystem::exists(
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid()))));
+  EXPECT_EQ(fsync_count(), 0);
+  // The durable replace pays two: the file, then its directory.
+  atomic_write_file(path, "fourth\n");
+  EXPECT_EQ(fsync_count(), 2);
+  std::filesystem::remove(path);
+  EXPECT_THROW(create_file_exclusive("no_such_dir_zzz/out.txt", "x"),
+               CheckError);
+  EXPECT_THROW(replace_file("no_such_dir_zzz/out.txt", "x"), CheckError);
+}
+
 TEST(Io, Crc32KnownVectors) {
   // IEEE 802.3 check value for "123456789".
   const char digits[] = "123456789";

@@ -26,6 +26,7 @@
 
 #include "common/check.h"
 #include "common/fault.h"
+#include "common/io.h"
 #include "common/shutdown.h"
 #include "common/stopwatch.h"
 #include "exp/fabric.h"
@@ -114,6 +115,7 @@ struct ChildReport {
   int spawned = -1;
   std::size_t restored = 0;
   std::size_t done = 0;
+  std::size_t retried = 0;
 };
 
 ChildReport read_report(const std::string& path) {
@@ -121,10 +123,10 @@ ChildReport read_report(const std::string& path) {
   const std::string text = slurp(path);
   EXPECT_EQ(std::sscanf(text.c_str(),
                         "complete=%d steals=%d kills=%d respawns=%d "
-                        "spawned=%d restored=%zu done=%zu",
+                        "spawned=%d restored=%zu done=%zu retried=%zu",
                         &rep.complete, &rep.steals, &rep.kills, &rep.respawns,
-                        &rep.spawned, &rep.restored, &rep.done),
-            7)
+                        &rep.spawned, &rep.restored, &rep.done, &rep.retried),
+            8)
       << "unparseable child report: " << text;
   return rep;
 }
@@ -376,6 +378,81 @@ TEST(Fabric, InspectAndRepairDamagedShard) {
   EXPECT_TRUE(repaired.leases.empty());
 }
 
+TEST(Fabric, StrayTempFilesAreNotProtocolFiles) {
+  // A crash mid-rename leaves `<name>.tmp.<pid>` next to the protocol
+  // files. Strand a one-worker fabric in its second unit (one done marker;
+  // one record without a marker, under the dead worker's lease), plant
+  // such leftovers of every kind, and check that inspection and the
+  // resume count only the real markers, leases, shards and reports.
+  const std::string dir = tmp_path("stray");
+  ASSERT_EQ(spawn_fabric("crash-after-unit=2,fault-worker=0", dir,
+                         /*workers=*/1, /*resume=*/false, 77, kFaultLease,
+                         /*max_respawns=*/0),
+            kResumableExitCode);
+  const auto plant = [&](const std::string& name, const std::string& text) {
+    std::ofstream os(dir + "/" + name);
+    os << text;
+  };
+  plant("units/u000004.done.tmp.99999", "pid=1 worker=9 host=h\n");
+  plant("units/u000005.done.tmp.99999", "pid=1 worker=9 host=h\n");
+  plant("leases/u000002.lease.tmp.99999", "pid=1 worker=9 host=h beat=3\n");
+  plant("shards/shard_0.report.tmp.99999",
+        "units=1 retried=1000 drained=0\n");
+  plant("shards/shard_0.journal.tmp.99999",
+        slurp(dir + "/shards/shard_0.journal"));
+
+  const FabricStatus stranded = inspect_fabric(dir);
+  EXPECT_EQ(stranded.done_markers, 1u);
+  ASSERT_EQ(stranded.leases.size(), 1u);
+  EXPECT_NE(stranded.leases[0].file, "u000002.lease.tmp.99999");
+  ASSERT_EQ(stranded.shards.size(), 1u);
+  EXPECT_EQ(stranded.shards[0].file, "shard_0.journal");
+
+  ASSERT_EQ(spawn_fabric("", dir, /*workers=*/2, /*resume=*/true), 0);
+  EXPECT_EQ(slurp(dir + ".csv"), reference_csv());
+  const ChildReport rep = read_report(dir + ".report");
+  EXPECT_EQ(rep.complete, 1);
+  EXPECT_EQ(rep.restored, 1u);
+  EXPECT_EQ(rep.done, kUnits);
+  EXPECT_EQ(rep.retried, 0u);
+
+  const FabricStatus resumed = inspect_fabric(dir);
+  EXPECT_EQ(resumed.done_markers, kUnits);
+  EXPECT_TRUE(resumed.leases.empty());
+  // Shards 0 (the stranded one) and 1-2 (the resumed fleet); the planted
+  // journal copy is not a fourth. The unit without a marker ran twice.
+  EXPECT_EQ(resumed.shards.size(), 3u);
+  EXPECT_EQ(total_shard_records(resumed), kUnits + 1);
+}
+
+TEST(Fabric, WorkerPaysOneFsyncPerUnit) {
+  // Only the shard records are durable truth, so a worker journaling K
+  // units fsyncs exactly K + 2 times: each record, plus the shard header
+  // and the shard's directory entry. Leases, their heartbeat renewals,
+  // done markers and progress reports pay none. The count is exact on
+  // every host, unlike a timing.
+  const std::string dir = tmp_path("fsyncs");
+  // A complete fabric run lays out the directory and its MANIFEST; clear
+  // its markers and shards so the in-process worker has every unit to do.
+  ASSERT_EQ(spawn_fabric("", dir, /*workers=*/1, /*resume=*/false), 0);
+  for (const char* sub : {"/units", "/shards"}) {
+    std::filesystem::remove_all(dir + sub);
+    std::filesystem::create_directories(dir + sub);
+  }
+  const SweepConfig cfg = fabric_test_config();
+  const std::vector<ArithInstance> instances = fabric_test_instances(cfg);
+  reset_fsync_count();
+  ASSERT_EQ(run_sweep_worker(cfg, instances, dir, /*worker_id=*/0,
+                             /*lease_seconds=*/5.0),
+            0);
+  EXPECT_EQ(fsync_count(), static_cast<long>(kUnits + 2));
+
+  const FabricStatus status = inspect_fabric(dir);
+  EXPECT_EQ(status.done_markers, kUnits);
+  EXPECT_TRUE(status.leases.empty());
+  EXPECT_EQ(total_shard_records(status), kUnits);
+}
+
 // ---------------------------------------------------------------------------
 
 /// Longest an initial worker waits for the faulted worker's first claim
@@ -450,7 +527,7 @@ int run_fabric_child(const std::string& dir, int workers, bool resume,
          << " respawns=" << report.respawns
          << " spawned=" << report.workers_spawned
          << " restored=" << r.units_restored << " done=" << r.units_done
-         << '\n';
+         << " retried=" << r.units_retried << '\n';
     }
     return r.complete ? 0 : kResumableExitCode;
   } catch (const std::exception& e) {
